@@ -10,20 +10,29 @@ definition and use in the graph.  From them we derive:
 * **mutex edges** between ``Lock``/``Unlock`` nodes of the same lock in
   concurrent threads;
 * **directed sync edges** from ``set(e)`` to ``wait(e)``.
+
+MHP depends only on the two blocks' thread paths, and a graph has a
+handful of distinct paths however many blocks it has.  The
+:class:`AccessIndex` therefore groups each variable's sites by
+*thread-path class* and answers every MHP-filtered question from a
+class-pair table, so no analysis walks the def × access product.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.cfg.blocks import NodeKind
-from repro.cfg.concurrency import may_happen_in_parallel
-from repro.cfg.graph import ConflictEdge, FlowGraph, MutexEdge, SyncEdge
+from repro.cfg.blocks import BasicBlock, NodeKind
+from repro.cfg.concurrency import may_happen_in_parallel, thread_paths_diverge
+from repro.cfg.graph import ConflictGroup, ConflictGroups, FlowGraph, MutexEdge, SyncEdge
 from repro.ir.expr import EVar
 from repro.ir.stmts import IRStmt, Phi, Pi, SAssign
 
 __all__ = [
+    "AccessIndex",
     "AccessSite",
+    "AccessSites",
+    "access_index",
     "add_conflict_edges",
     "add_mutex_edges",
     "add_sync_edges",
@@ -89,9 +98,23 @@ class AccessSite:
         return f"AccessSite({self.var}, B{self.block_id}@{self.index}, {role})"
 
 
-def collect_access_sites(graph: FlowGraph) -> dict[str, list[AccessSite]]:
+class AccessSites(dict):
+    """Access sites by base variable name (``dict[str, list[AccessSite]]``).
+
+    Also carries the :class:`AccessIndex` built from it, so every pass
+    handed the same collection shares one index.
+    """
+
+    __slots__ = ("index",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.index: Optional[AccessIndex] = None
+
+
+def collect_access_sites(graph: FlowGraph) -> AccessSites:
     """Every access site in the graph, grouped by base variable name."""
-    sites: dict[str, list[AccessSite]] = {}
+    sites = AccessSites()
 
     def add(site: AccessSite) -> None:
         sites.setdefault(site.var, []).append(site)
@@ -113,73 +136,206 @@ def collect_access_sites(graph: FlowGraph) -> dict[str, list[AccessSite]]:
     return sites
 
 
+class _MemoryBlocks:
+    """One variable's runtime accesses, as block ids per thread-path class."""
+
+    __slots__ = ("def_sites", "defs", "uses", "accesses")
+
+    def __init__(self) -> None:
+        #: class → real-definition sites
+        self.def_sites: dict[int, list[AccessSite]] = {}
+        #: class → block ids holding a real definition
+        self.defs: dict[int, set[int]] = {}
+        #: class → block ids holding a runtime read
+        self.uses: dict[int, set[int]] = {}
+        #: classes holding any runtime access
+        self.accesses: set[int] = set()
+
+
+class AccessIndex:
+    """The access sites of one graph state, grouped by thread-path class.
+
+    Blocks with equal ``thread_path`` are in one class, and MHP is exact
+    on classes: :func:`~repro.cfg.concurrency.may_happen_in_parallel`
+    reads nothing but the two paths.  ``mhp[c1][c2]`` is computed once
+    per class pair; everything else is a lookup.  ``pair_queries``
+    counts those lookups (the index's deterministic work measure).
+    """
+
+    def __init__(self, graph: FlowGraph, sites: dict[str, list[AccessSite]]) -> None:
+        self.sites = sites
+        classes: dict[tuple, int] = {}
+        #: block id → thread-path class
+        self.block_class = [
+            classes.setdefault(block.thread_path, len(classes)) for block in graph.blocks
+        ]
+        paths = list(classes)
+        #: class × class → may happen in parallel
+        self.mhp = [[thread_paths_diverge(a, b) for b in paths] for a in paths]
+        self.pair_queries = 0
+        self._memory: dict[str, _MemoryBlocks] = {}
+        self._site_classes: dict[str, dict[int, bool]] = {}
+        self._concurrent_defs: dict[tuple[str, int], list[SAssign]] = {}
+
+    @property
+    def n_classes(self) -> int:
+        return len(self.mhp)
+
+    def memory_blocks(self, var: str) -> _MemoryBlocks:
+        """``var``'s runtime accesses (:func:`is_memory_access`) by class."""
+        found = self._memory.get(var)
+        if found is None:
+            found = self._memory[var] = _MemoryBlocks()
+            for s in self.sites.get(var, ()):
+                if not is_memory_access(s):
+                    continue
+                cls = self.block_class[s.block_id]
+                if s.is_real_def:
+                    found.def_sites.setdefault(cls, []).append(s)
+                    found.defs.setdefault(cls, set()).add(s.block_id)
+                elif not s.is_def:
+                    found.uses.setdefault(cls, set()).add(s.block_id)
+                found.accesses.add(cls)
+        return found
+
+    def is_shared(self, var: str) -> bool:
+        """Two MHP runtime accesses to ``var``, at least one a real write."""
+        memory = self.memory_blocks(var)
+        for d_cls in memory.defs:
+            row = self.mhp[d_cls]
+            for a_cls in memory.accesses:
+                self.pair_queries += 1
+                if row[a_cls]:
+                    return True
+        return False
+
+    def conflict_group(self, var: str) -> Optional[ConflictGroup]:
+        """``var``'s DU/DD conflict edges, counted from class sizes."""
+        memory = self.memory_blocks(var)
+        if not memory.defs:
+            return None
+        count = 0
+        for d_cls, defs in memory.defs.items():
+            row = self.mhp[d_cls]
+            for u_cls, uses in memory.uses.items():
+                self.pair_queries += 1
+                if row[u_cls]:
+                    count += len(defs) * len(uses)
+            for d2_cls, defs2 in memory.defs.items():
+                if d2_cls < d_cls:
+                    continue  # each unordered write-write pair once
+                self.pair_queries += 1
+                if not row[d2_cls]:
+                    continue
+                if d2_cls == d_cls:
+                    count += len(defs) * (len(defs) - 1) // 2
+                else:
+                    count += len(defs) * len(defs2)
+        if not count:
+            return None
+        def_blocks = sorted(b for blocks in memory.defs.values() for b in blocks)
+        use_blocks = sorted(b for blocks in memory.uses.values() for b in blocks)
+        return ConflictGroup(var, def_blocks, use_blocks, count)
+
+    def concurrent_defs(self, var: str, block: BasicBlock) -> list[SAssign]:
+        """The real definitions of ``var`` that may run in parallel with
+        ``block``, each once, ordered by position.
+
+        Computed once per (variable, thread-path class); callers must
+        not mutate the returned list.
+        """
+        cls = self.block_class[block.id]
+        key = (var, cls)
+        found = self._concurrent_defs.get(key)
+        if found is None:
+            row = self.mhp[cls]
+            defs = []
+            for d_cls, sites in self.memory_blocks(var).def_sites.items():
+                self.pair_queries += 1
+                if row[d_cls]:
+                    defs.extend(sites)
+            defs.sort(key=lambda s: (s.block_id, s.index))
+            found = []
+            seen: set[int] = set()
+            for d in defs:
+                assert isinstance(d.stmt, SAssign)
+                if id(d.stmt) not in seen:
+                    seen.add(id(d.stmt))
+                    found.append(d.stmt)
+            self._concurrent_defs[key] = found
+        return found
+
+    def site_classes(self, var: str) -> dict[int, bool]:
+        """Classes holding any site of ``var`` (φ/π bookkeeping included)
+        → whether one of them is a real definition."""
+        found = self._site_classes.get(var)
+        if found is None:
+            found = self._site_classes[var] = {}
+            for s in self.sites.get(var, ()):
+                cls = self.block_class[s.block_id]
+                found[cls] = found.get(cls, False) or s.is_real_def
+        return found
+
+    def has_concurrent_write(self, var: str, block: BasicBlock) -> bool:
+        """Some real definition of ``var`` may run in parallel with ``block``."""
+        row = self.mhp[self.block_class[block.id]]
+        for cls, has_def in self.site_classes(var).items():
+            self.pair_queries += 1
+            if has_def and row[cls]:
+                return True
+        return False
+
+    def has_concurrent_access(self, var: str, block: BasicBlock) -> bool:
+        """Some site of ``var`` may run in parallel with ``block``."""
+        row = self.mhp[self.block_class[block.id]]
+        for cls in self.site_classes(var):
+            self.pair_queries += 1
+            if row[cls]:
+                return True
+        return False
+
+
+def access_index(
+    graph: FlowGraph,
+    sites: Optional[dict[str, list[AccessSite]]] = None,
+) -> AccessIndex:
+    """The class index of ``sites`` (collected from ``graph`` when
+    omitted), shared by every caller handed the same collection."""
+    if sites is None:
+        sites = collect_access_sites(graph)
+    index = getattr(sites, "index", None)
+    if index is None:
+        index = AccessIndex(graph, sites)
+        if isinstance(sites, AccessSites):
+            sites.index = index
+    return index
+
+
 def shared_variables(
     graph: FlowGraph,
     sites: Optional[dict[str, list[AccessSite]]] = None,
 ) -> set[str]:
     """Variables with two MHP accesses, at least one of them a write."""
-    if sites is None:
-        sites = collect_access_sites(graph)
-    shared: set[str] = set()
-    for var, all_accesses in sites.items():
-        def_blocks: set[int] = set()
-        access_blocks: set[int] = set()
-        for s in all_accesses:
-            if not is_memory_access(s):
-                continue
-            if s.is_real_def:
-                def_blocks.add(s.block_id)
-            access_blocks.add(s.block_id)
-        if not def_blocks:
-            continue
-        found = False
-        for d_id in def_blocks:
-            d_block = graph.blocks[d_id]
-            for a_id in access_blocks:
-                if may_happen_in_parallel(d_block, graph.blocks[a_id]):
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            shared.add(var)
-    return shared
+    index = access_index(graph, sites)
+    return {var for var in index.sites if index.is_shared(var)}
 
 
 def add_conflict_edges(
     graph: FlowGraph,
     sites: Optional[dict[str, list[AccessSite]]] = None,
-) -> list[ConflictEdge]:
-    """Populate ``graph.conflict_edges`` (block granularity, deduped)."""
-    if sites is None:
-        sites = collect_access_sites(graph)
-    edges: list[ConflictEdge] = []
-    for var, all_accesses in sites.items():
-        # Edges are block-granular, so collapse sites to block-id sets
-        # first — the def × access product is then bounded by the block
-        # count, not the (much larger) site count.
-        def_blocks: set[int] = set()
-        use_blocks: set[int] = set()
-        for s in all_accesses:
-            if not is_memory_access(s):
-                continue
-            if s.is_real_def:
-                def_blocks.add(s.block_id)
-            elif not s.is_def:
-                use_blocks.add(s.block_id)
-        if not def_blocks:
-            continue
-        for d_id in sorted(def_blocks):
-            d_block = graph.blocks[d_id]
-            for u_id in sorted(use_blocks):
-                if may_happen_in_parallel(d_block, graph.blocks[u_id]):
-                    edges.append(ConflictEdge(d_id, u_id, var, "DU"))
-            for d2_id in sorted(def_blocks):
-                if d2_id <= d_id:
-                    continue  # emit write-write pairs once
-                if may_happen_in_parallel(d_block, graph.blocks[d2_id]):
-                    edges.append(ConflictEdge(d_id, d2_id, var, "DD"))
-    graph.conflict_edges = edges
+) -> ConflictGroups:
+    """Populate ``graph.conflict_edges`` (block granularity, deduped).
+
+    Edges are stored as one :class:`~repro.cfg.graph.ConflictGroup` per
+    variable; they become ``ConflictEdge`` objects only when iterated.
+    """
+    index = access_index(graph, sites)
+    groups = []
+    for var in index.sites:
+        group = index.conflict_group(var)
+        if group is not None:
+            groups.append(group)
+    graph.conflict_edges = ConflictGroups(groups, index.block_class, index.mhp)
     return graph.conflict_edges
 
 

@@ -7,13 +7,20 @@ analyses (mutex-body exposure, LICM).
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Sequence
 
 from repro.errors import CFGError
 from repro.cfg.blocks import BasicBlock, NodeKind
 from repro.ir.stmts import IRStmt
 
-__all__ = ["ConflictEdge", "FlowGraph", "MutexEdge", "SyncEdge"]
+__all__ = [
+    "ConflictEdge",
+    "ConflictGroup",
+    "ConflictGroups",
+    "FlowGraph",
+    "MutexEdge",
+    "SyncEdge",
+]
 
 
 class ConflictEdge:
@@ -34,6 +41,85 @@ class ConflictEdge:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ConflictEdge(B{self.src_block}->B{self.dst_block}, {self.var}, {self.kind})"
+
+
+class ConflictGroup(NamedTuple):
+    """The conflict edges of one variable, unexpanded.
+
+    ``def_blocks`` and ``use_blocks`` are the sorted ids of the blocks
+    holding a real definition or a runtime read of ``var``; ``count`` is
+    the number of pairwise :class:`ConflictEdge` objects they stand for.
+    """
+
+    var: str
+    def_blocks: list[int]
+    use_blocks: list[int]
+    count: int
+
+
+class ConflictGroups:
+    """A graph's conflict edges, stored as per-variable groups.
+
+    MHP is a function of the two blocks' thread-path classes, so a group
+    plus the class table (``block_class``: block id → class,
+    ``mhp[c1][c2]``) determines every edge.  ``len()`` and
+    :meth:`variables` read the groups; iterating expands them to
+    :class:`ConflictEdge` objects in the order of the pairwise
+    definition: per variable, each def block in id order with its
+    ``DU`` edges to the use blocks and then its ``DD`` edges to later
+    def blocks.  Only DOT rendering needs that expansion.
+    """
+
+    __slots__ = ("groups", "block_class", "mhp", "_count")
+
+    def __init__(
+        self,
+        groups: Sequence[ConflictGroup] = (),
+        block_class: Sequence[int] = (),
+        mhp: Sequence[Sequence[bool]] = (),
+    ) -> None:
+        self.groups = list(groups)
+        self.block_class = block_class
+        self.mhp = mhp
+        self._count = sum(group.count for group in self.groups)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[ConflictEdge]:
+        cls = self.block_class
+        for group in self.groups:
+            var = group.var
+            # class → (its concurrent use blocks, its concurrent def blocks)
+            partners: dict[int, tuple[list[int], list[int]]] = {}
+            for d_id in group.def_blocks:
+                c = cls[d_id]
+                if c not in partners:
+                    row = self.mhp[c]
+                    partners[c] = (
+                        [u for u in group.use_blocks if row[cls[u]]],
+                        [d for d in group.def_blocks if row[cls[d]]],
+                    )
+                uses, defs = partners[c]
+                for u_id in uses:
+                    yield ConflictEdge(d_id, u_id, var, "DU")
+                for d2_id in defs:
+                    if d2_id > d_id:
+                        yield ConflictEdge(d_id, d2_id, var, "DD")
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (ConflictGroups, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def variables(self) -> set[str]:
+        """Variables with at least one conflict edge."""
+        return {group.var for group in self.groups}
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"ConflictGroups({len(self.groups)} vars, {self._count} edges)"
 
 
 class MutexEdge:
@@ -77,7 +163,7 @@ class FlowGraph:
         self.blocks: list[BasicBlock] = []
         self.entry_id: int = -1
         self.exit_id: int = -1
-        self.conflict_edges: list[ConflictEdge] = []
+        self.conflict_edges = ConflictGroups()
         self.mutex_edges: list[MutexEdge] = []
         self.sync_edges: list[SyncEdge] = []
         #: stmt uid → (block_id, index within block.stmts); φ terms are

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.cfg.builder import build_flow_graph
 from repro.cfg.conflicts import (
+    access_index,
     add_conflict_edges,
     add_mutex_edges,
     add_sync_edges,
@@ -67,9 +68,13 @@ def build_cssa(program: ProgramIR) -> CSSAForm:
     """Convert a non-SSA ``program`` (in place) to CSSA form."""
     graph = build_flow_graph(program)
     ssa = build_ssa(program, graph)
-    shared = shared_variables(graph, collect_access_sites(graph))
-    pis = place_pi_terms(program, graph)
-    add_conflict_edges(graph)
+    # One site collection serves the whole build: π insertion adds only
+    # bookkeeping sites (π temporaries and conflict arguments), which
+    # is_memory_access drops, so the runtime accesses are unchanged.
+    sites = collect_access_sites(graph)
+    shared = shared_variables(graph, sites)
+    pis = place_pi_terms(program, graph, sites)
+    add_conflict_edges(graph, sites)
     add_mutex_edges(graph)
     add_sync_edges(graph)
     from repro.obs.trace import get_tracer
@@ -77,11 +82,14 @@ def build_cssa(program: ProgramIR) -> CSSAForm:
     if get_tracer().enabled:
         from repro.obs.prof import record_work
 
+        index = access_index(graph, sites)
         record_work(
             "cssa",
             pi_terms=len(pis),
             conflict_args=sum(len(pi.conflicts) for pi in pis),
             shared_vars=len(shared),
             conflict_edges=len(graph.conflict_edges),
+            path_classes=index.n_classes,
+            class_pair_queries=index.pair_queries,
         )
     return CSSAForm(program, graph, ssa, pis, shared)

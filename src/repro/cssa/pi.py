@@ -23,12 +23,13 @@ counter — the same convention visible in the paper's figures.
 
 from __future__ import annotations
 
-from repro.cfg.concurrency import may_happen_in_parallel
-from repro.cfg.conflicts import collect_access_sites, shared_variables
+from typing import Optional
+
+from repro.cfg.conflicts import AccessSite, access_index, shared_variables
 from repro.cfg.graph import FlowGraph
 from repro.errors import SSAError
 from repro.ir.expr import EVar
-from repro.ir.stmts import IRStmt, Phi, Pi, SAssign, SBranch
+from repro.ir.stmts import IRStmt, Phi, Pi
 from repro.ir.structured import (
     Body,
     IfRegion,
@@ -65,17 +66,19 @@ def _structural_insert_before(stmt: IRStmt, pi: Pi) -> None:
     raise SSAError(f"cannot find structural position of {stmt!r}")
 
 
-def place_pi_terms(program: ProgramIR, graph: FlowGraph) -> list[Pi]:
-    """Insert π terms for every conflicting use; returns them."""
-    sites = collect_access_sites(graph)
-    shared = shared_variables(graph, sites)
+def place_pi_terms(
+    program: ProgramIR,
+    graph: FlowGraph,
+    sites: Optional[dict[str, list[AccessSite]]] = None,
+) -> list[Pi]:
+    """Insert π terms for every conflicting use; returns them.
 
-    # Real definitions of each shared variable, in deterministic order.
-    real_defs: dict[str, list] = {}
-    for var in shared:
-        defs = [s for s in sites.get(var, []) if s.is_real_def]
-        defs.sort(key=lambda s: (s.block_id, s.index))
-        real_defs[var] = defs
+    ``sites`` is the graph's access-site collection, gathered when
+    omitted.  Each (variable, thread path) concurrent-def list is built
+    once; every π gets fresh conflict-argument ``EVar``s from it.
+    """
+    index = access_index(graph, sites)
+    shared = shared_variables(graph, index.sites)
 
     pis: list[Pi] = []
     # (block_id, position, stmt) for every candidate statement, walking
@@ -96,25 +99,14 @@ def place_pi_terms(program: ProgramIR, graph: FlowGraph) -> list[Pi]:
     for stmt, block_id, groups in pending:
         block = graph.blocks[block_id]
         for var in sorted(groups):
-            uses = groups[var]
-            conflict_defs = [
-                d
-                for d in real_defs[var]
-                if may_happen_in_parallel(block, graph.blocks[d.block_id])
-            ]
+            conflict_defs = index.concurrent_defs(var, block)
             if not conflict_defs:
                 continue
+            uses = groups[var]
             first = uses[0]
             control = EVar(first.name, first.version, first.def_site)
-            conflicts = []
-            seen = set()
-            for d in conflict_defs:
-                assert isinstance(d.stmt, SAssign)
-                if id(d.stmt) in seen:
-                    continue
-                seen.add(id(d.stmt))
-                conflicts.append(EVar(var, d.stmt.version, d.stmt))
             temp = program.fresh_name(f"t{control.ssa_name}")
+            conflicts = [EVar(var, d.version, d) for d in conflict_defs]
             pi = Pi(temp, var, control, conflicts)
             # Rewrite the statement's uses of var to the π temporary.
             for use in uses:

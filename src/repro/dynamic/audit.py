@@ -337,7 +337,7 @@ def audit_source(
     if static_races is None:
         static_races = detect_races(form.graph, form.structures)
     sites = collect_access_sites(form.graph)
-    conflict_vars = {edge.var for edge in form.graph.conflict_edges}
+    conflict_vars = form.graph.conflict_edges.variables()
     return audit_program(
         session.front_end(source),
         static_races,

@@ -7,6 +7,9 @@ parallel programs exactly as Lee et al. (and this paper) describe:
 * π terms meet their control argument with every conflict argument whose
   defining block is executable — so CSSAME's π pruning (fewer conflict
   arguments) directly translates into more constants;
+* a statement whose value reaches ⊥ is settled and never evaluated
+  again, and a π's running meet stops at ⊥: ⊥ absorbs every meet, so
+  the fixpoint is unchanged;
 * ``cobegin`` makes all child threads executable at once;
 * constant branches keep only one successor edge executable, and the
   transformation phase folds the corresponding ``if``/``while`` regions.
@@ -79,6 +82,8 @@ class _Analysis:
         #: lattice evaluations performed — the pass's deterministic
         #: work measure (see repro.obs.prof)
         self.evals = 0
+        #: π conflict arguments folded into a meet
+        self.pi_args_met = 0
         #: φ → positional arg↔pred mapping (None = conservative)
         self._phi_preds: dict[Phi, Optional[list[int]]] = {}
 
@@ -130,14 +135,18 @@ class _Analysis:
                     vals.append(self.value_of_var(arg.var))
             return meet_all(vals)
         if isinstance(stmt, Pi):
-            vals = [self.value_of_var(stmt.control)]
+            # One running meet; ⊥ absorbs the rest of the arguments.
+            value = self.value_of_var(stmt.control)
             for arg in stmt.conflicts:
+                if value is BOTTOM:
+                    break
                 site = arg.def_site
                 if isinstance(site, IRStmt) and self.graph.contains_stmt(site):
                     if self.graph.block_of(site).id not in self.executable_blocks:
                         continue  # definition can never execute
-                vals.append(self.value_of_var(arg))
-            return meet_all(vals)
+                self.pi_args_met += 1
+                value = meet(value, self.value_of_var(arg))
+            return value
         raise TransformError(f"cannot evaluate {stmt!r}")  # pragma: no cover
 
     # -- worklist engine -------------------------------------------------------
@@ -183,7 +192,7 @@ class _Analysis:
         branch: Optional[SBranch] = None
         for stmt in self._block_stmts(block):
             if isinstance(stmt, (SAssign, Phi, Pi)):
-                self._update(stmt, self.evaluate(stmt))
+                self._reevaluate(stmt)
             elif isinstance(stmt, SBranch):
                 branch = stmt
         if branch is not None:
@@ -203,6 +212,16 @@ class _Analysis:
         else:
             for succ in block.succs:
                 self._flow.append((block_id, succ))
+
+    def _reevaluate(self, stmt: IRStmt) -> None:
+        """Evaluate ``stmt`` and lower its value.
+
+        A value already at ⊥ is settled: ⊥ absorbs every meet, so
+        evaluating again could not change it.
+        """
+        if self.values.get(stmt) is BOTTOM:
+            return
+        self._update(stmt, self.evaluate(stmt))
 
     def _update(self, stmt: IRStmt, new: LatticeValue) -> None:
         old = self.values.get(stmt, TOP)
@@ -224,7 +243,7 @@ class _Analysis:
             return
         if self.graph.block_of(stmt).id not in self.executable_blocks:
             return
-        self._update(stmt, self.evaluate(stmt))
+        self._reevaluate(stmt)
 
 
 class _Transformer:
@@ -557,6 +576,7 @@ def concurrent_constant_propagation(
         record_work(
             "constprop",
             lattice_evals=analysis.evals,
+            pi_args_met=analysis.pi_args_met,
             executable_blocks=len(analysis.executable_blocks),
             executable_edges=len(analysis.executable_edges),
             constants=len(stats.constants),

@@ -34,8 +34,7 @@ from typing import Optional
 
 from repro.cfg.blocks import BasicBlock, NodeKind
 from repro.cfg.builder import build_flow_graph
-from repro.cfg.concurrency import may_happen_in_parallel
-from repro.cfg.conflicts import AccessSite, collect_access_sites
+from repro.cfg.conflicts import access_index
 from repro.cfg.graph import FlowGraph
 from repro.ir.stmts import IRStmt, SAssign, SLock, SUnlock
 from repro.ir.structured import Body, ProgramIR, remove_stmt
@@ -66,28 +65,14 @@ class LICMStats:
 
 
 class _Conflicts:
-    """MHP conflict queries over base variable names."""
+    """Definition 5 queries, answered from the graph's access index
+    (sites collected once, before any motion)."""
 
     def __init__(self, graph: FlowGraph) -> None:
-        self.graph = graph
-        self.sites: dict[str, list[AccessSite]] = collect_access_sites(graph)
+        self.index = access_index(graph)
         #: Definition 5 checks performed — LICM's deterministic work
         #: measure (see repro.obs.prof)
         self.independence_checks = 0
-
-    def has_concurrent_write(self, var: str, block: BasicBlock) -> bool:
-        for site in self.sites.get(var, []):
-            if site.is_real_def and may_happen_in_parallel(
-                block, self.graph.blocks[site.block_id]
-            ):
-                return True
-        return False
-
-    def has_concurrent_access(self, var: str, block: BasicBlock) -> bool:
-        for site in self.sites.get(var, []):
-            if may_happen_in_parallel(block, self.graph.blocks[site.block_id]):
-                return True
-        return False
 
     def lock_independent(self, stmt: IRStmt, block: BasicBlock) -> bool:
         """Definition 5, conservatively: no concurrent write to anything
@@ -102,10 +87,10 @@ class _Conflicts:
     def accesses_independent(self, stmt: IRStmt, block: BasicBlock) -> bool:
         """The Definition 5 access conditions alone (any stmt kind)."""
         for use in stmt.uses():
-            if self.has_concurrent_write(use.name, block):
+            if self.index.has_concurrent_write(use.name, block):
                 return False
         target = stmt.def_name()
-        if target is not None and self.has_concurrent_access(target, block):
+        if target is not None and self.index.has_concurrent_access(target, block):
             return False
         return True
 
@@ -435,6 +420,7 @@ def lock_independent_code_motion(
             "licm",
             bodies=sum(len(s) for s in structures.values()),
             independence_checks=conflicts.independence_checks,
+            class_queries=conflicts.index.pair_queries,
             moved=stats.total_moved,
             locks_removed=stats.locks_removed,
         )

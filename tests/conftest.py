@@ -59,6 +59,40 @@ def build(source: str) -> ProgramIR:
     return lower_program(parse(source))
 
 
+#: synthetic program kinds: the ``bench_scalability`` family and its
+#: race-free, set/wait and barrier variants
+SYNTH_KINDS = ("racy", "race-free", "events", "barrier")
+#: (kind, stmts_per_thread, seed) for equivalence tests against references
+SYNTH_CASES = [
+    (kind, size, seed)
+    for kind in SYNTH_KINDS
+    for size in (2, 4, 6, 8, 10)
+    for seed in (size, 100 + size)
+]
+
+
+def synth_config(kind: str, size: int, seed: int):
+    """A ``bench_scalability``-family generator config of one kind."""
+    from repro.synth import GeneratorConfig
+
+    return GeneratorConfig(
+        seed=seed,
+        n_threads=2,
+        stmts_per_thread=size,
+        n_shared=6,
+        n_locks=2,
+        p_critical=0.6,
+        p_if=0.2,
+        race_free=kind == "race-free",
+        n_events=1 if kind == "events" else 0,
+        n_barriers=1 if kind == "barrier" else 0,
+    )
+
+
+def synth_case_id(case) -> str:
+    return "-".join(map(str, case))
+
+
 @pytest.fixture
 def figure2() -> ProgramIR:
     return build(FIGURE2_SOURCE)
