@@ -45,21 +45,18 @@ __all__ = [
 def is_memory_access(site: "AccessSite") -> bool:
     """True when the site is a *runtime* memory operation.
 
-    φ terms and π conflict arguments are SSA bookkeeping: they read and
-    write nothing when the program runs.  A π's control argument stands
-    for the original (rewritten) read, in the same block.  Filtering
-    matters both for precision (no phantom unprotected reads at join
-    blocks) and for cost: π conflict arguments grow quadratically with
-    the def count, and conflict-edge computation is a def × access
-    product.
+    φ terms are SSA bookkeeping: they read and write nothing when the
+    program runs, and neither does a π's temporary.  A π's control
+    argument stands for the original (rewritten) read, in the same
+    block.  (π conflict arguments get no site at all; see
+    :func:`collect_access_sites`.)  Filtering matters for precision: no
+    phantom unprotected reads at join blocks.
     """
     stmt = site.stmt
     if isinstance(stmt, Phi):
         return False
     if isinstance(stmt, Pi):
-        if site.is_def:
-            return False  # π temporaries are thread-local
-        return site.evar is stmt.control
+        return not site.is_def  # π temporaries are thread-local
     return True
 
 
@@ -113,7 +110,14 @@ class AccessSites(dict):
 
 
 def collect_access_sites(graph: FlowGraph) -> AccessSites:
-    """Every access site in the graph, grouped by base variable name."""
+    """Every access site in the graph, grouped by base variable name.
+
+    π conflict arguments get no site.  They are no runtime access, and
+    each names the π's own variable, whose control-argument site sits
+    in the same block: a site of theirs would add no thread-path class
+    to any variable, only (π × concurrent def) objects for every
+    consumer to drop.
+    """
     sites = AccessSites()
 
     def add(site: AccessSite) -> None:
@@ -131,6 +135,10 @@ def collect_access_sites(graph: FlowGraph) -> AccessSites:
             if target is not None:
                 is_real = isinstance(stmt, SAssign)
                 add(AccessSite(target, block.id, i, stmt, True, is_real, None))
+            if isinstance(stmt, Pi):
+                control = stmt.control
+                add(AccessSite(control.name, block.id, i, stmt, False, False, control))
+                continue
             for var in stmt.uses():
                 add(AccessSite(var.name, block.id, i, stmt, False, False, var))
     return sites
@@ -175,7 +183,7 @@ class AccessIndex:
         self.pair_queries = 0
         self._memory: dict[str, _MemoryBlocks] = {}
         self._site_classes: dict[str, dict[int, bool]] = {}
-        self._concurrent_defs: dict[tuple[str, int], list[SAssign]] = {}
+        self._conflict_args: dict[tuple[str, int], tuple[EVar, ...]] = {}
 
     @property
     def n_classes(self) -> int:
@@ -237,16 +245,18 @@ class AccessIndex:
         use_blocks = sorted(b for blocks in memory.uses.values() for b in blocks)
         return ConflictGroup(var, def_blocks, use_blocks, count)
 
-    def concurrent_defs(self, var: str, block: BasicBlock) -> list[SAssign]:
-        """The real definitions of ``var`` that may run in parallel with
-        ``block``, each once, ordered by position.
+    def conflict_args(self, var: str, block: BasicBlock) -> tuple[EVar, ...]:
+        """π conflict arguments for a use of ``var`` in ``block``: one
+        ``EVar`` per real definition of ``var`` that may run in parallel
+        with ``block``, each once, ordered by position.
 
-        Computed once per (variable, thread-path class); callers must
-        not mutate the returned list.
+        Built once per (variable, thread-path class) and shared by every
+        π of that class; the tuple and its ``EVar``s are never edited
+        (passes narrowing a π replace its tuple).
         """
         cls = self.block_class[block.id]
         key = (var, cls)
-        found = self._concurrent_defs.get(key)
+        found = self._conflict_args.get(key)
         if found is None:
             row = self.mhp[cls]
             defs = []
@@ -255,14 +265,14 @@ class AccessIndex:
                 if row[d_cls]:
                     defs.extend(sites)
             defs.sort(key=lambda s: (s.block_id, s.index))
-            found = []
+            args = []
             seen: set[int] = set()
             for d in defs:
                 assert isinstance(d.stmt, SAssign)
                 if id(d.stmt) not in seen:
                     seen.add(id(d.stmt))
-                    found.append(d.stmt)
-            self._concurrent_defs[key] = found
+                    args.append(EVar(var, d.stmt.version, d.stmt))
+            found = self._conflict_args[key] = tuple(args)
         return found
 
     def site_classes(self, var: str) -> dict[int, bool]:

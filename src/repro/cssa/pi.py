@@ -74,8 +74,8 @@ def place_pi_terms(
     """Insert π terms for every conflicting use; returns them.
 
     ``sites`` is the graph's access-site collection, gathered when
-    omitted.  Each (variable, thread path) concurrent-def list is built
-    once; every π gets fresh conflict-argument ``EVar``s from it.
+    omitted.  Every π of one (variable, thread-path class) shares that
+    class's immutable conflict-argument tuple.
     """
     index = access_index(graph, sites)
     shared = shared_variables(graph, index.sites)
@@ -99,14 +99,13 @@ def place_pi_terms(
     for stmt, block_id, groups in pending:
         block = graph.blocks[block_id]
         for var in sorted(groups):
-            conflict_defs = index.concurrent_defs(var, block)
-            if not conflict_defs:
+            conflicts = index.conflict_args(var, block)
+            if not conflicts:
                 continue
             uses = groups[var]
             first = uses[0]
             control = EVar(first.name, first.version, first.def_site)
             temp = program.fresh_name(f"t{control.ssa_name}")
-            conflicts = [EVar(var, d.version, d) for d in conflict_defs]
             pi = Pi(temp, var, control, conflicts)
             # Rewrite the statement's uses of var to the π temporary.
             for use in uses:

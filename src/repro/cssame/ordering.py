@@ -35,7 +35,7 @@ from repro.cfg.dominance import DominatorTree, compute_dominators
 from repro.cfg.graph import FlowGraph
 from repro.ir.stmts import Pi, SAssign
 from repro.ir.structured import ProgramIR, iter_statements, remove_stmt
-from repro.ssa.chains import build_use_map
+from repro.ssa.chains import build_term_use_map
 
 __all__ = ["EventOrdering", "OrderingStats", "prune_pi_terms_by_ordering"]
 
@@ -176,25 +176,31 @@ def prune_pi_terms_by_ordering(
 
     pis = [s for s, _ in iter_statements(program) if isinstance(s, Pi)]
     args_examined = 0
+    #: (tuple id, use block) → (tuple, narrowed tuple); πs share tuples
+    narrowed: dict[tuple[int, int], tuple] = {}
     for pi in pis:
         if not graph.contains_stmt(pi):
             continue
         use_block = graph.block_of(pi).id
-        kept = []
-        for arg in pi.conflicts:
-            args_examined += 1
-            site = arg.def_site
-            if isinstance(site, SAssign) and graph.contains_stmt(site):
-                def_block = graph.block_of(site).id
-                if ordering.must_precede(use_block, def_block):
-                    stats.args_removed += 1
-                    continue
-            kept.append(arg)
-        pi.conflicts = kept
+        args = pi.conflicts
+        args_examined += len(args)
+        key = (id(args), use_block)
+        found = narrowed.get(key)
+        if found is None:
+            kept = []
+            for arg in args:
+                site = arg.def_site
+                if isinstance(site, SAssign) and graph.contains_stmt(site):
+                    if ordering.must_precede(use_block, graph.block_of(site).id):
+                        continue
+                kept.append(arg)
+            found = narrowed[key] = (args, args if len(kept) == len(args) else tuple(kept))
+        stats.args_removed += len(args) - len(found[1])
+        pi.conflicts = found[1]
 
     reduced = [pi for pi in pis if not pi.conflicts and pi.parent is not None]
     if reduced:
-        usemap = build_use_map(program)
+        usemap = build_term_use_map(program)
         for pi in reduced:
             control = pi.control
             for use, _holder in usemap.uses_of(pi):

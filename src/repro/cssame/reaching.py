@@ -27,7 +27,8 @@ class ReachingInfo:
         self.defs_of_use: dict[EVar, list[object]] = {}
         #: definition site → list of (use site, holder stmt)
         self.uses_of_def: dict[object, list[tuple[EVar, IRStmt]]] = {}
-        #: use site → holder statement
+        #: use site → holder statement (the first π holding a shared π
+        #: conflict argument)
         self.holder_of_use: dict[EVar, IRStmt] = {}
 
     def defs(self, use: EVar) -> list[object]:
@@ -46,8 +47,15 @@ def parallel_reaching_definitions(program: ProgramIR) -> ReachingInfo:
     marked: dict[object, EVar] = {}
 
     for use, holder in iter_uses(program):
+        walked = info.defs_of_use.get(use)
+        if walked is not None:
+            # A π conflict argument shared with an earlier π: its defs
+            # are known, only this holder is new.
+            for d in walked:
+                info.uses_of_def[d].append((use, holder))
+            continue
         info.holder_of_use[use] = holder
-        defs_list = info.defs_of_use.setdefault(use, [])
+        defs_list = info.defs_of_use[use] = []
         start = use.def_site
         if start is None:
             continue

@@ -28,7 +28,7 @@ from repro.obs.events import (
     PiDeleted,
 )
 from repro.obs.trace import get_tracer
-from repro.ssa.chains import build_use_map
+from repro.ssa.chains import build_term_use_map
 
 __all__ = ["RewriteStats", "rewrite_pi_terms"]
 
@@ -77,18 +77,7 @@ def rewrite_pi_terms(
     stats.pis_before = len(pis)
     stats.args_before = sum(len(pi.conflicts) for pi in pis)
 
-    dataflow_cache: dict[int, BodyDataflow] = {}
-    #: (body identity, def uid) → does the def reach that body's exit?
-    reach_cache: dict[tuple, bool] = {}
-
-    def dataflow(body: MutexBody) -> BodyDataflow:
-        key = id(body)
-        cached = dataflow_cache.get(key)
-        if cached is None:
-            cached = BodyDataflow(graph, body)
-            dataflow_cache[key] = cached
-        return cached
-
+    decide = _Decisions(graph)
     for _lock_name, structure in sorted(structures.items()):
         for body in structure.bodies:
             for block_id in sorted(body.nodes):
@@ -96,15 +85,16 @@ def rewrite_pi_terms(
                 for stmt in block.stmts:
                     if not isinstance(stmt, Pi):
                         continue
-                    _rewrite_one(
-                        stmt, body, structure, graph, dataflow, reach_cache,
-                        stats, tracer,
-                    )
+                    kept, removed, by_reason = decide(stmt, body, structure)
+                    if removed and tracer.enabled:
+                        _record_removals(tracer, structure, stmt, removed, by_reason)
+                    stats.args_removed += len(removed)
+                    stmt.conflicts = kept
 
     # Delete π terms reduced to their control argument.
     reduced = [pi for pi in pis if not pi.conflicts and pi.parent is not None]
     if reduced:
-        usemap = build_use_map(program)
+        usemap = build_term_use_map(program)
         for pi in reduced:
             control = pi.control
             uses = usemap.uses_of(pi)
@@ -132,78 +122,146 @@ def rewrite_pi_terms(
             conflict_args=stats.args_before,
             args_removed=stats.args_removed,
             pis_deleted=stats.pis_deleted,
+            decisions=decide.count,
         )
     return stats
 
 
-def _rewrite_one(
-    pi: Pi,
-    body: MutexBody,
-    structure: MutexStructure,
-    graph: FlowGraph,
-    dataflow,
-    reach_cache: dict[tuple, bool],
-    stats: RewriteStats,
-    tracer,
-) -> None:
-    var = pi.var_name
-    use_block, use_index = graph.location_of(pi)
-    # Theorem 2's condition depends only on the use, so compute it once
-    # per π (lazily — only when some argument needs it).
-    not_exposed: bool | None = None
-    kept: list[EVar] = []
-    for arg in pi.conflicts:
-        def_site = arg.def_site
-        if not isinstance(def_site, SAssign):
-            raise AnalysisError(
-                f"π conflict argument without a real definition: {arg!r}"
-            )
-        def_block, def_index = graph.location_of(def_site)
-        other_body = structure.body_of_block(def_block)
-        if other_body is None or other_body is body:
-            # Unsynchronized definition, or a definition in the same
-            # body (possible when the body spans a whole cobegin):
-            # the theorems do not apply — keep the argument.
-            kept.append(arg)
-            continue
-        if not_exposed is None:
-            not_exposed = not dataflow(body).upward_exposed(
-                var, use_block, use_index
-            )
-        if not_exposed:
-            stats.args_removed += 1
-            _record_removal(tracer, structure, pi, arg, REASON_NOT_UPWARD_EXPOSED)
-            continue
-        # Theorem 1's condition depends only on the definition and the
-        # body it is judged against (a def under nested locks belongs to
-        # one body per structure); cache it across every π that lists
-        # this definition.
-        cache_key = (id(other_body), def_site.uid)
-        killed = reach_cache.get(cache_key)
-        if killed is None:
-            killed = not dataflow(other_body).reaches_exit(
-                var, def_block, def_index
-            )
-            reach_cache[cache_key] = killed
-        if killed:
-            stats.args_removed += 1
-            _record_removal(tracer, structure, pi, arg, REASON_DOES_NOT_REACH_EXIT)
+class _Decisions:
+    """A.3's verdicts on conflict-argument tuples.
+
+    π terms of one (variable, thread-path class) share one argument
+    tuple.  A.3's verdict on a π depends on that tuple, the mutex
+    structure, whether the protected use is upward-exposed from the π's
+    body (Theorem 2), and on the body itself only through the arguments
+    defined inside it, which the theorems leave alone.  A π's body
+    rarely holds any (its arguments come from concurrent threads), so
+    each distinct (tuple, structure, body if it holds an argument,
+    Theorem 2 outcome) is decided once and every π with the same inputs
+    gets the same narrowed tuple.  The memo tables hold the tuples
+    themselves, so their ``id`` keys stay valid.
+    """
+
+    def __init__(self, graph: FlowGraph) -> None:
+        self.graph = graph
+        self._dataflow: dict[int, BodyDataflow] = {}
+        #: (tuple id, structure id) → (tuple, [(arg, def block, def
+        #: index, the structure's body holding the def or None)], ids
+        #: of those bodies)
+        self._located: dict[tuple[int, int], tuple] = {}
+        #: (tuple id, structure id, own body id, not exposed) → (tuple,
+        #: kept, removed, removals by reason)
+        self._verdicts: dict[tuple, tuple] = {}
+        #: (body identity, def uid) → does the def reach that body's exit?
+        self._reaches: dict[tuple[int, int], bool] = {}
+        #: distinct verdicts reached (the pass's inner-loop work measure)
+        self.count = 0
+
+    def dataflow(self, body: MutexBody) -> BodyDataflow:
+        found = self._dataflow.get(id(body))
+        if found is None:
+            found = self._dataflow[id(body)] = BodyDataflow(self.graph, body)
+        return found
+
+    def __call__(self, pi: Pi, body: MutexBody, structure: MutexStructure) -> tuple:
+        """``pi``'s narrowed tuple, its removed (argument name, reason)s
+        and their count by reason."""
+        args = pi.conflicts
+        located, bodies = self._locate(args, structure)
+        own = body if id(body) in bodies else None
+        if len(bodies) == (own is not None):
+            # Unsynchronized definitions, or definitions in the π's own
+            # body (possible when the body spans a whole cobegin): the
+            # theorems do not apply — keep every argument.
+            not_exposed = None
         else:
-            kept.append(arg)
-    pi.conflicts = kept
+            use_block, use_index = self.graph.location_of(pi)
+            not_exposed = not self.dataflow(body).upward_exposed(
+                pi.var_name, use_block, use_index
+            )
+        key = (id(args), id(structure), id(own), not_exposed)
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            self.count += 1
+            verdict = self._verdicts[key] = (args,) + self._narrow(
+                pi.var_name, args, located, own, not_exposed
+            )
+        return verdict[1:]
+
+    def _locate(self, args: tuple[EVar, ...], structure: MutexStructure) -> tuple:
+        key = (id(args), id(structure))
+        found = self._located.get(key)
+        if found is None:
+            located = []
+            for arg in args:
+                def_site = arg.def_site
+                if not isinstance(def_site, SAssign):
+                    raise AnalysisError(
+                        f"π conflict argument without a real definition: {arg!r}"
+                    )
+                def_block, def_index = self.graph.location_of(def_site)
+                located.append(
+                    (arg, def_block, def_index, structure.body_of_block(def_block))
+                )
+            bodies = {id(entry[3]) for entry in located if entry[3] is not None}
+            found = self._located[key] = (args, located, bodies)
+        return found[1], found[2]
+
+    def _narrow(
+        self,
+        var: str,
+        args: tuple[EVar, ...],
+        located: list[tuple],
+        own: MutexBody | None,
+        not_exposed: bool | None,
+    ) -> tuple:
+        removed: list[tuple[str, str]] = []
+        by_reason: dict[str, int] = {}
+        if not_exposed is None:
+            return args, removed, by_reason
+        dropped: set[int] = set()
+        for arg, def_block, def_index, other_body in located:
+            if other_body is None or other_body is own:
+                continue
+            if not_exposed:
+                reason = REASON_NOT_UPWARD_EXPOSED
+            else:
+                # Theorem 1's condition depends only on the definition
+                # and the body it is judged against (a def under nested
+                # locks belongs to one body per structure).
+                key = (id(other_body), arg.def_site.uid)
+                killed = self._reaches.get(key)
+                if killed is None:
+                    killed = self._reaches[key] = not self.dataflow(
+                        other_body
+                    ).reaches_exit(var, def_block, def_index)
+                if not killed:
+                    continue
+                reason = REASON_DOES_NOT_REACH_EXIT
+            removed.append((arg.ssa_name, reason))
+            by_reason[reason] = by_reason.get(reason, 0) + 1
+            dropped.add(id(arg))
+        if not removed:
+            return args, removed, by_reason
+        kept = tuple(arg for arg in args if id(arg) not in dropped)
+        return kept, removed, by_reason
 
 
-def _record_removal(
-    tracer, structure: MutexStructure, pi: Pi, arg: EVar, reason: str
+def _record_removals(
+    tracer,
+    structure: MutexStructure,
+    pi: Pi,
+    removed: list[tuple[str, str]],
+    by_reason: dict[str, int],
 ) -> None:
-    """Log one A.3 conflict-argument removal with its theorem."""
-    if not tracer.enabled:
-        return
-    tracer.event(
-        PiArgRemoved(structure.lock_name, pi.var_name, pi.target, arg.ssa_name, reason)
-    )
-    tracer.counter("cssame.args_removed").inc()
-    tracer.counter(f"cssame.args_removed.{reason}").inc()
+    """Log A.3's conflict-argument removals from one π, with their theorems."""
+    for arg_name, reason in removed:
+        tracer.event(
+            PiArgRemoved(structure.lock_name, pi.var_name, pi.target, arg_name, reason)
+        )
+    tracer.counter("cssame.args_removed").inc(len(removed))
+    for reason, count in by_reason.items():
+        tracer.counter(f"cssame.args_removed.{reason}").inc(count)
 
 
 def _remove_from_block(graph: FlowGraph, stmt: IRStmt) -> None:

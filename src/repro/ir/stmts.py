@@ -381,6 +381,12 @@ class Pi(IRStmt):
     ``var_name`` records which shared variable the π protects.  The
     target is a fresh single-assignment temporary, so ``version`` is
     always ``None``.
+
+    ``conflicts`` is an immutable tuple, shared by every π of the same
+    variable in the same thread-path class (see
+    :meth:`repro.cfg.conflicts.AccessIndex.conflict_args`).  Passes
+    narrowing a π *replace* the tuple; neither it nor its ``EVar``s
+    are ever edited.
     """
 
     __slots__ = ("target", "var_name", "control", "conflicts")
@@ -396,7 +402,7 @@ class Pi(IRStmt):
         self.target = target
         self.var_name = var_name
         self.control = control
-        self.conflicts = list(conflicts)
+        self.conflicts: tuple[EVar, ...] = tuple(conflicts)
 
     def uses(self) -> Iterator[EVar]:
         yield self.control
@@ -416,22 +422,36 @@ class Pi(IRStmt):
         for var in self.conflicts:
             new = fn(var)
             new_conflicts.append(new if isinstance(new, EVar) else var)
-        self.conflicts = new_conflicts
+        self.conflicts = tuple(new_conflicts)
 
     @property
     def ssa_target(self) -> str:
         return self.target
 
-    def clone(self) -> "Pi":
-        return Pi(
-            self.target,
-            self.var_name,
-            self.control.copy(),
-            [v.copy() for v in self.conflicts],
-        )
+    def clone(self, shared: Optional[dict[int, tuple]] = None) -> "Pi":
+        """Deep copy.  ``shared`` maps ``id(tuple)`` to ``(tuple, copy)``
+        for argument tuples already copied, so πs that share a tuple
+        share its copy too."""
+        if shared is None:
+            shared = {}
+        found = shared.get(id(self.conflicts))
+        if found is None:
+            found = shared[id(self.conflicts)] = (
+                self.conflicts,
+                tuple(v.copy() for v in self.conflicts),
+            )
+        return Pi(self.target, self.var_name, self.control.copy(), found[1])
 
-    def to_str(self) -> str:
-        args = ", ".join(
-            [self.control.ssa_name] + [v.ssa_name for v in self.conflicts]
-        )
-        return f"{self.target} = pi({args});"
+    def to_str(self, rendered: Optional[dict[int, tuple]] = None) -> str:
+        """``rendered`` maps ``id(tuple)`` to ``(tuple, text)`` for
+        argument tuples already rendered, so a listing renders each
+        shared tuple once."""
+        if rendered is None:
+            rendered = {}
+        found = rendered.get(id(self.conflicts))
+        if found is None:
+            found = rendered[id(self.conflicts)] = (
+                self.conflicts,
+                "".join(f", {v.ssa_name}" for v in self.conflicts),
+            )
+        return f"{self.target} = pi({self.control.ssa_name}{found[1]});"

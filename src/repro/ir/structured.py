@@ -308,18 +308,27 @@ def clone_program(program: ProgramIR) -> ProgramIR:
 
     Statement objects are cloned; ``EVar.def_site`` links that point at
     cloned statements are remapped to the copies, so an SSA-form program
-    clones into a consistent SSA-form program.
+    clones into a consistent SSA-form program.  Each distinct π
+    conflict-argument tuple is copied once, so the clone shares its
+    tuples exactly as the original does.
     """
     stmt_map: dict[int, IRStmt] = {}
+    shared: dict[int, tuple] = {}
 
     new = ProgramIR()
     new.known_names = set(program.known_names)
     new.private_names = set(program.private_names)
-    new.body = _clone_body(program.body, new, stmt_map)
+    new.body = _clone_body(program.body, new, stmt_map, shared)
 
     # Second pass: remap def_site links into the cloned statements.
     for stmt, _ctx in iter_statements(new):
+        if isinstance(stmt, Pi):
+            _remap_def_site(stmt.control, stmt_map)
+            continue
         for var in stmt.uses():
+            _remap_def_site(var, stmt_map)
+    for _original, args in shared.values():
+        for var in args:
             _remap_def_site(var, stmt_map)
     return new
 
@@ -332,35 +341,39 @@ def _remap_def_site(var: EVar, stmt_map: dict[int, IRStmt]) -> None:
             var.def_site = mapped
 
 
-def _clone_stmt(stmt: IRStmt, stmt_map: dict[int, IRStmt]) -> IRStmt:
-    copy = stmt.clone()
+def _clone_stmt(
+    stmt: IRStmt, stmt_map: dict[int, IRStmt], shared: dict[int, tuple]
+) -> IRStmt:
+    copy = stmt.clone(shared) if isinstance(stmt, Pi) else stmt.clone()
     stmt_map[stmt.uid] = copy
     return copy
 
 
-def _clone_body(body: Body, owner: object, stmt_map: dict[int, IRStmt]) -> Body:
+def _clone_body(
+    body: Body, owner: object, stmt_map: dict[int, IRStmt], shared: dict[int, tuple]
+) -> Body:
     new = Body(owner)
     for item in body.items:
         if isinstance(item, IRStmt):
-            new.append(_clone_stmt(item, stmt_map))
+            new.append(_clone_stmt(item, stmt_map, shared))
         elif isinstance(item, IfRegion):
-            branch = _clone_stmt(item.branch, stmt_map)
+            branch = _clone_stmt(item.branch, stmt_map, shared)
             region = IfRegion(branch)
-            region.then_body = _clone_body(item.then_body, region, stmt_map)
-            region.else_body = _clone_body(item.else_body, region, stmt_map)
+            region.then_body = _clone_body(item.then_body, region, stmt_map, shared)
+            region.else_body = _clone_body(item.else_body, region, stmt_map, shared)
             new.append(region)
         elif isinstance(item, WhileRegion):
-            branch = _clone_stmt(item.branch, stmt_map)
+            branch = _clone_stmt(item.branch, stmt_map, shared)
             region = WhileRegion(branch)
             for header in item.header_phis:
-                region.add_header_stmt(_clone_stmt(header, stmt_map))
-            region.body = _clone_body(item.body, region, stmt_map)
+                region.add_header_stmt(_clone_stmt(header, stmt_map, shared))
+            region.body = _clone_body(item.body, region, stmt_map, shared)
             new.append(region)
         elif isinstance(item, CobeginRegion):
             region = CobeginRegion()
             for thread in item.threads:
                 t = ThreadRegion(thread.label)
-                t.body = _clone_body(thread.body, t, stmt_map)
+                t.body = _clone_body(thread.body, t, stmt_map, shared)
                 region.add_thread(t)
             new.append(region)
         else:  # pragma: no cover - defensive

@@ -8,13 +8,19 @@ accesses with at least one write.  If the locksets held at the two
 accesses are disjoint, no common lock serializes them — a potential
 race.  (If they share a lock, the pair is serialized by mutual
 exclusion.)
+
+Every test involved reads blocks only (MHP, locksets, event ordering),
+so accesses are examined as distinct blocks: each block holding a write
+against each distinct (block, is-write) access whose thread-path class
+may run in parallel with it.
 """
 
 from __future__ import annotations
 
-from repro.cfg.concurrency import may_happen_in_parallel
+from functools import lru_cache
+
 from repro.cfg.conflicts import (
-    collect_access_sites,
+    access_index,
     is_memory_access,
     shared_variables,
 )
@@ -50,8 +56,8 @@ class RaceReport:
     def message(self) -> str:
         return (
             f"potential {self.kind} race on '{self.var}': "
-            f"B{self.block_a} holds {set(self.locks_a) or '{}'} while "
-            f"B{self.block_b} holds {set(self.locks_b) or '{}'} (no common lock)"
+            f"B{self.block_a} holds {_lockset(self.locks_a)} while "
+            f"B{self.block_b} holds {_lockset(self.locks_b)} (no common lock)"
         )
 
     def key(self) -> tuple:
@@ -75,6 +81,13 @@ class RaceReport:
         return f"RaceReport({self.message()})"
 
 
+@lru_cache(maxsize=1024)
+def _lockset(locks: frozenset[str]) -> str:
+    """``{'A', 'B'}``: set notation in sorted order, so a message does
+    not depend on the hash seed."""
+    return "{" + ", ".join(repr(lock) for lock in sorted(locks)) + "}"
+
+
 def detect_races(
     graph: FlowGraph,
     structures: dict[str, MutexStructure],
@@ -89,8 +102,8 @@ def detect_races(
     :class:`repro.cssame.ordering.EventOrdering` — are not reported.
     """
     locksets = compute_locksets(graph, structures)
-    sites = collect_access_sites(graph)
-    shared = shared_variables(graph, sites)
+    index = access_index(graph)
+    shared = shared_variables(graph, index.sites)
 
     ordering = None
     if use_ordering:
@@ -102,37 +115,46 @@ def detect_races(
 
     reports: list[RaceReport] = []
     seen: set[tuple[str, int, int, str]] = set()
+    pairs_examined = 0
     for var in sorted(shared):
-        accesses = [s for s in sites.get(var, []) if is_memory_access(s)]
-        writes = [s for s in accesses if s.is_real_def]
-        for w in writes:
-            w_block = graph.blocks[w.block_id]
-            for other in accesses:
-                if other.stmt is w.stmt and other.is_def:
-                    continue
-                if not may_happen_in_parallel(w_block, graph.blocks[other.block_id]):
-                    continue
-                if locksets[w.block_id] & locksets[other.block_id]:
+        # Distinct write blocks and (block, is-write) accesses, in site
+        # order: the order the reports come out in.
+        accesses = list(
+            dict.fromkeys(
+                (s.block_id, s.is_def) for s in index.sites[var] if is_memory_access(s)
+            )
+        )
+        write_blocks = [block for block, is_def in accesses if is_def]
+        #: write class → the accesses that may run in parallel with it
+        partners: dict[int, list[tuple[int, bool]]] = {}
+        for w_block in write_blocks:
+            w_class = index.block_class[w_block]
+            candidates = partners.get(w_class)
+            if candidates is None:
+                row = index.mhp[w_class]
+                candidates = partners[w_class] = [
+                    access for access in accesses if row[index.block_class[access[0]]]
+                ]
+            w_locks = locksets[w_block]
+            for o_block, is_def in candidates:
+                pairs_examined += 1
+                if w_locks & locksets[o_block]:
                     continue  # serialized by a common lock
                 if ordering is not None and (
-                    ordering.must_precede(w.block_id, other.block_id)
-                    or ordering.must_precede(other.block_id, w.block_id)
+                    ordering.must_precede(w_block, o_block)
+                    or ordering.must_precede(o_block, w_block)
                 ):
                     continue  # serialized by events/barriers
-                kind = "write-write" if other.is_def else "write-read"
-                a, b = sorted((w.block_id, other.block_id))
+                kind = "write-write" if is_def else "write-read"
+                a, b = sorted((w_block, o_block))
                 key = (var, a, b, kind)
                 if key in seen:
                     continue
                 seen.add(key)
                 reports.append(
-                    RaceReport(
-                        var,
-                        w.block_id,
-                        other.block_id,
-                        kind,
-                        locksets[w.block_id],
-                        locksets[other.block_id],
-                    )
+                    RaceReport(var, w_block, o_block, kind, w_locks, locksets[o_block])
                 )
+    from repro.obs.prof import record_work
+
+    record_work("races", pairs_examined=pairs_examined, reports=len(reports))
     return reports

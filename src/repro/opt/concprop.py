@@ -231,7 +231,10 @@ class _Analysis:
             return
         for _use, holder in self.usemap.uses_of(stmt):
             if isinstance(holder, (SAssign, Phi, Pi)):
-                self._ssa.append(holder)
+                # A settled holder's visit would be a no-op (see
+                # _reevaluate); πs sharing a def are many.
+                if self.values.get(holder) is not BOTTOM:
+                    self._ssa.append(holder)
             elif isinstance(holder, SBranch):
                 if self.graph.contains_stmt(holder):
                     holder_block = self.graph.block_of(holder)
@@ -259,8 +262,10 @@ class _Transformer:
         self.stats = stats
         self.fold_output_uses = fold_output_uses
         self._structures = None
-        self._sites = None
+        self._index = None
         self._body_dataflow: dict[int, object] = {}
+        #: argument tuple id → (tuple, pruned tuple)
+        self._pruned: dict[int, tuple] = {}
 
     def _mutex_structures(self):
         if self._structures is None:
@@ -300,16 +305,14 @@ class _Transformer:
         body); anything weaker can overwrite a concurrent thread's
         value with the φ's control-flow constant.
         """
-        from repro.cfg.concurrency import may_happen_in_parallel
-        from repro.cfg.conflicts import collect_access_sites
+        from repro.cfg.conflicts import access_index
 
         graph = self.a.graph
         if not graph.contains_stmt(phi):
             return False
         block_id, index = graph.location_of(phi)
-        block = graph.blocks[block_id]
-        if self._sites is None:
-            self._sites = collect_access_sites(graph)
+        if self._index is None:
+            self._index = access_index(graph)
 
         structures = self._mutex_structures()
         my_bodies = {}  # lock name → body containing the φ
@@ -318,29 +321,30 @@ class _Transformer:
             if body is not None:
                 my_bodies[lock_name] = body
 
-        for site in self._sites.get(phi.target, []):
-            if not site.is_real_def:
+        access = self._index
+        row = access.mhp[access.block_class[block_id]]
+        for cls, def_sites in access.memory_blocks(phi.target).def_sites.items():
+            if not row[cls]:
                 continue
-            if not may_happen_in_parallel(block, graph.blocks[site.block_id]):
-                continue
-            # The concurrent def must be provably unable to reach here.
-            killed = False
-            for lock_name, my_body in my_bodies.items():
-                other = structures[lock_name].body_of_block(site.block_id)
-                if other is None or other is my_body:
-                    continue
-                if not self._dataflow(my_body).upward_exposed(
-                    phi.target, block_id, index
-                ):
-                    killed = True  # Theorem 2
-                    break
-                if not self._dataflow(other).reaches_exit(
-                    phi.target, site.block_id, site.index
-                ):
-                    killed = True  # Theorem 1
-                    break
-            if not killed:
-                return False
+            for site in def_sites:
+                # The concurrent def must be provably unable to reach here.
+                killed = False
+                for lock_name, my_body in my_bodies.items():
+                    other = structures[lock_name].body_of_block(site.block_id)
+                    if other is None or other is my_body:
+                        continue
+                    if not self._dataflow(my_body).upward_exposed(
+                        phi.target, block_id, index
+                    ):
+                        killed = True  # Theorem 2
+                        break
+                    if not self._dataflow(other).reaches_exit(
+                        phi.target, site.block_id, site.index
+                    ):
+                        killed = True  # Theorem 1
+                        break
+                if not killed:
+                    return False
         return True
 
     def run(self) -> None:
@@ -453,15 +457,24 @@ class _Transformer:
             self.a._phi_preds[phi] = None
 
     def _prune_pi_args(self, pi: Pi) -> None:
-        graph = self.a.graph
-        kept = []
-        for arg in pi.conflicts:
-            site = arg.def_site
-            if isinstance(site, IRStmt) and graph.contains_stmt(site):
-                if graph.block_of(site).id not in self.a.executable_blocks:
-                    continue
-            kept.append(arg)
-        pi.conflicts = kept
+        """Drop conflict arguments whose definition never executes,
+        deciding once per shared argument tuple."""
+        args = pi.conflicts
+        found = self._pruned.get(id(args))
+        if found is None:
+            graph = self.a.graph
+            kept = []
+            for arg in args:
+                site = arg.def_site
+                if isinstance(site, IRStmt) and graph.contains_stmt(site):
+                    if graph.block_of(site).id not in self.a.executable_blocks:
+                        continue
+                kept.append(arg)
+            found = self._pruned[id(args)] = (
+                args,
+                args if len(kept) == len(args) else tuple(kept),
+            )
+        pi.conflicts = found[1]
 
     # -- plain statements ----------------------------------------------------
 

@@ -160,19 +160,13 @@ def local_value_numbering(
         graph = build_flow_graph(program)
     stats = LVNStats()
 
-    from repro.cfg.concurrency import may_happen_in_parallel
-    from repro.cfg.conflicts import collect_access_sites
+    from repro.cfg.conflicts import access_index
 
-    sites = collect_access_sites(graph)
+    index = access_index(graph)
 
     def make_can_reuse(block):
         def can_reuse(base: str) -> bool:
-            for site in sites.get(base, []):
-                if site.is_real_def and may_happen_in_parallel(
-                    block, graph.blocks[site.block_id]
-                ):
-                    return False
-            return True
+            return not index.has_concurrent_write(base, block)
 
         return can_reuse
 

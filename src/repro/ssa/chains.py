@@ -11,10 +11,10 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.ir.expr import EVar
-from repro.ir.stmts import IRStmt
+from repro.ir.stmts import IRStmt, Pi
 from repro.ir.structured import ProgramIR, iter_statements
 
-__all__ = ["UseMap", "build_use_map", "defs_in_program", "iter_uses"]
+__all__ = ["UseMap", "build_term_use_map", "build_use_map", "defs_in_program", "iter_uses"]
 
 
 class UseMap:
@@ -53,6 +53,22 @@ def build_use_map(program: ProgramIR) -> UseMap:
     for use, holder in iter_uses(program):
         if use.def_site is not None:
             usemap.add(use.def_site, use, holder)
+    return usemap
+
+
+def build_term_use_map(program: ProgramIR) -> UseMap:
+    """:func:`build_use_map` without π conflict arguments.
+
+    A conflict argument always chains to a real assignment, never to a
+    φ/π term, so a pass redirecting the uses of deleted φ/π terms needs
+    none of them — and they are one entry per (π, concurrent def).
+    """
+    usemap = UseMap()
+    for stmt, _ctx in iter_statements(program):
+        uses = (stmt.control,) if isinstance(stmt, Pi) else stmt.uses()
+        for use in uses:
+            if use.def_site is not None:
+                usemap.add(use.def_site, use, stmt)
     return usemap
 
 

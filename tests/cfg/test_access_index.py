@@ -19,13 +19,25 @@ from repro.cfg.conflicts import (
 )
 from repro.cfg.dot import to_dot
 from repro.cfg.graph import ConflictGroups
+from repro.cssa import builder as cssa_builder
 from repro.cssa.pi import place_pi_terms
-from repro.cssame import build_cssame
+from repro.cssame import build_cssame, parallel_reaching_definitions
 from repro.dynamic.audit import audit_source
+from repro.ir.printer import format_ir
+from repro.ir.stmts import Pi
+from repro.ir.structured import clone_program, iter_statements
+from repro.opt.concprop import concurrent_constant_propagation
+from repro.opt.pipeline import optimize
 from repro.session import Session
 from repro.ssa.construct import build_ssa
 from repro.synth import generate_program, generate_source
-from tests.conftest import SYNTH_CASES, SYNTH_KINDS, synth_case_id, synth_config
+from tests.conftest import (
+    SYNTH_CASES,
+    SYNTH_KINDS,
+    collect_sites_with_pi_arguments,
+    synth_case_id,
+    synth_config,
+)
 
 
 def reference_conflict_edges(graph, sites):
@@ -161,12 +173,112 @@ def test_pi_placement_with_and_without_sites(case):
     assert listings[0] == listings[1]
 
 
-def test_conflict_arguments_are_fresh_per_pi():
-    program, graph = ssa_graph(("racy", 10, 10))
-    pis = place_pi_terms(program, graph)
-    args = [arg for pi in pis for arg in pi.conflicts]
-    assert len({id(a) for a in args}) == len(args)
-    assert len({id(pi.conflicts) for pi in pis}) == len(pis)
+def _pi_args(program):
+    return [(stmt, stmt.conflicts) for stmt, _ctx in iter_statements(program) if isinstance(stmt, Pi)]
+
+
+def test_conflict_arguments_are_shared_per_class(monkeypatch):
+    """One immutable tuple per (variable, thread-path class), never edited
+    by any pass; clones share within themselves and stand alone."""
+    placed = {}
+
+    def place_and_record(program, graph, sites=None):
+        pis = place_pi_terms(program, graph, sites)
+        index = access_index(graph, sites)
+        keys = set()
+        for pi in pis:
+            assert type(pi.conflicts) is tuple
+            assert pi.conflicts is index.conflict_args(pi.var_name, graph.block_of(pi))
+            keys.add((pi.var_name, index.block_class[graph.block_of(pi).id]))
+        assert len({id(pi.conflicts) for pi in pis}) == len(keys) < len(pis)
+        for pi in pis:
+            for arg in pi.conflicts:
+                placed[id(arg)] = (arg, arg.name, arg.version, arg.def_site)
+        return pis
+
+    monkeypatch.setattr(cssa_builder, "place_pi_terms", place_and_record)
+    program = generate_program(synth_config("racy", 10, 10))
+    report = optimize(program)
+    assert placed
+    # Narrowing replaced tuples but never edited one of the shared EVars.
+    for arg, name, version, def_site in placed.values():
+        assert (arg.name, arg.version, arg.def_site) == (name, version, def_site)
+    for pi in report.form.pis:
+        assert all(id(arg) in placed for arg in pi.conflicts)
+
+    # A clone shares exactly as the original does, with its own objects.
+    original = generate_program(synth_config("racy", 10, 10))
+    form = build_cssame(original, prune=False)
+    clone = clone_program(form.program)
+    before, after = _pi_args(form.program), _pi_args(clone)
+    assert len(before) == len(after) > 0
+    for (_, a1), (_, c1) in zip(before, after):
+        for (_, a2), (_, c2) in zip(before, after):
+            assert (a1 is a2) == (c1 is c2)
+    clone_stmts = {id(stmt) for stmt, _ctx in iter_statements(clone)}
+    original_args = {id(arg) for _, args in before for arg in args}
+    for (pi, args), (pi_clone, args_clone) in zip(before, after):
+        assert args_clone is not args
+        assert [a.ssa_name for a in args_clone] == [a.ssa_name for a in args]
+        for arg in args_clone:
+            assert id(arg) not in original_args
+            assert id(arg.def_site) in clone_stmts
+    assert format_ir(clone) == format_ir(form.program)
+
+
+def test_reaching_definitions_see_every_holder_of_a_shared_argument():
+    """A.4 walks a shared argument once: its reaching defs are listed
+    once, and the def → uses map lists every π holding it."""
+    program = generate_program(synth_config("racy", 10, 10))
+    build_cssame(program, prune=False)
+    info = parallel_reaching_definitions(program)
+    want = {}
+    for stmt, _ctx in iter_statements(program):
+        if isinstance(stmt, Pi):
+            for arg in stmt.conflicts:
+                assert info.defs(arg) == [arg.def_site]
+                want.setdefault(arg.def_site, []).append(stmt)
+    assert want
+    for def_site, holders in want.items():
+        got = [
+            holder
+            for use, holder in info.uses(def_site)
+            if isinstance(holder, Pi) and use is not holder.control
+        ]
+        assert [id(h) for h in got] == [id(h) for h in holders]
+
+
+@pytest.mark.parametrize("case", SYNTH_CASES, ids=synth_case_id)
+def test_pi_arguments_carry_no_classes(case):
+    """Without π conflict-argument sites every class summary is the same:
+    each argument names its π's variable, whose control site is in the
+    same block."""
+    states = []
+    program = generate_program(synth_config(*case))
+    form = build_cssame(program, prune=False)
+    states.append(form.graph)
+    concurrent_constant_propagation(program, form.graph)
+    states.append(build_flow_graph(program))
+    for graph in states:
+        sites = collect_access_sites(graph)
+        old_sites = collect_sites_with_pi_arguments(graph)
+        assert set(sites) == set(old_sites)
+        index = access_index(graph, sites)
+        old_index = access_index(graph, old_sites)
+        for var in old_sites:
+            assert index.site_classes(var) == old_index.site_classes(var), var
+            assert list(index.site_classes(var)) == list(old_index.site_classes(var)), var
+            got, want = index.memory_blocks(var), old_index.memory_blocks(var)
+            assert (got.defs, got.uses, got.accesses) == (want.defs, want.uses, want.accesses)
+            assert got.def_sites.keys() == want.def_sites.keys()
+            for cls, def_sites in got.def_sites.items():
+                assert [s.stmt for s in def_sites] == [s.stmt for s in want.def_sites[cls]]
+        # The only sites dropped are π conflict arguments.
+        dropped = sum(len(v) for v in old_sites.values()) - sum(len(v) for v in sites.values())
+        assert dropped == sum(
+            len(stmt.conflicts) for block in graph.blocks for stmt in block.stmts
+            if isinstance(stmt, Pi)
+        )
 
 
 def test_index_is_shared_per_site_collection():

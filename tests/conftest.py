@@ -89,6 +89,34 @@ def synth_config(kind: str, size: int, seed: int):
     )
 
 
+def collect_sites_with_pi_arguments(graph):
+    """``collect_access_sites`` as it was when every π conflict argument
+    still got its own site: the reference for tests showing those sites
+    carried nothing."""
+    from repro.cfg.conflicts import AccessSite
+    from repro.ir.stmts import SAssign
+
+    sites = {}
+
+    def add(site):
+        sites.setdefault(site.var, []).append(site)
+
+    for block in graph.blocks:
+        nphis = len(block.phis)
+        for i, phi in enumerate(block.phis):
+            index = i - nphis
+            add(AccessSite(phi.target, block.id, index, phi, True, False, None))
+            for arg in phi.args:
+                add(AccessSite(arg.var.name, block.id, index, phi, False, False, arg.var))
+        for i, stmt in enumerate(block.stmts):
+            target = stmt.def_name()
+            if target is not None:
+                add(AccessSite(target, block.id, i, stmt, True, isinstance(stmt, SAssign), None))
+            for var in stmt.uses():
+                add(AccessSite(var.name, block.id, i, stmt, False, False, var))
+    return sites
+
+
 def synth_case_id(case) -> str:
     return "-".join(map(str, case))
 
