@@ -180,20 +180,18 @@ def _execution_as_dict(execution) -> dict:
     """The ``run --json`` document: events + per-lock contention."""
     from repro.report import lock_timeline_summary
 
-    timeline = lock_timeline_summary(execution)
-    locks: dict[str, dict] = {}
-    for lock in sorted(
-        set(execution.lock_held_steps)
-        | set(execution.lock_blocked_steps)
-        | set(execution.lock_acquisitions)
-        | set(timeline)
-    ):
-        locks[lock] = {
-            "held_steps": execution.lock_held_steps.get(lock, 0),
-            "blocked_steps": execution.lock_blocked_steps.get(lock, 0),
-            "acquisitions": execution.lock_acquisitions.get(lock, 0),
-            **timeline.get(lock, {}),
+    held = execution.lock_held_steps
+    blocked = execution.lock_blocked_steps
+    acquisitions = execution.lock_acquisitions
+    locks = {
+        lock: {
+            "held_steps": held.get(lock, 0),
+            "blocked_steps": blocked.get(lock, 0),
+            "acquisitions": acquisitions.get(lock, 0),
+            **row,
         }
+        for lock, row in sorted(lock_timeline_summary(execution).items())
+    }
     return {
         "events": [list(e) for e in execution.events],
         "steps": execution.steps,

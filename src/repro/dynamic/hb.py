@@ -33,8 +33,8 @@ observable events (``print`` and opaque call statements) are excluded:
 the VM treats those statements as atomic external actions, and the
 static lockset report classifies races that only involve them
 separately (see ``repro.dynamic.audit``).  Tracking is opt-in
-(``VirtualMachine(..., hb=HBTracker(program))``); a VM without a
-tracker pays one attribute read and a branch per step.
+(``VirtualMachine(..., hb=HBTracker(program))``): the tracker is one of
+the VM driver's observers (:class:`repro.vm.machine.Observer`).
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from repro.obs.events import DynamicRaceObserved, HappensBeforeEdge
 from repro.obs.trace import get_tracer
 from repro.vm.bytecode import Instr, Op, VMProgram
 from repro.vm.compile import compile_program
+from repro.vm.machine import Observer
 
 __all__ = ["DynamicRace", "HBTracker", "VectorClock"]
 
@@ -191,8 +192,8 @@ class DynamicRace:
         return f"DynamicRace({self.message()})"
 
 
-class HBTracker:
-    """Per-run happens-before state, driven by the VM's step hooks.
+class HBTracker(Observer):
+    """Per-run happens-before state, driven by the VM's observer hooks.
 
     One tracker observes one execution (create a fresh one per run);
     aggregate across runs with :meth:`merge_orderings` or via
@@ -225,9 +226,9 @@ class HBTracker:
         self.joins = 0
         self.tracer = get_tracer()
 
-    # -- clock maintenance (called from VirtualMachine._step) ---------------
+    # -- clock maintenance (observer hooks of the VM drivers) ----------------
 
-    def on_step(self, tid: tuple, pc: int, instr: Instr) -> None:
+    def on_step(self, step: int, state: tuple, tid: tuple, pc: int, instr: Instr) -> None:
         """Advance ``tid``'s clock across one instruction.
 
         Pre-merges (lock acquire, wait) happen before the tick so the

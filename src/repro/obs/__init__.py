@@ -17,7 +17,6 @@ from repro.obs.events import (
     ContextSwitch,
     Event,
     LockAcquire,
-    LockContention,
     LockRelease,
     MutexBodyDiscovered,
     PassEnd,
@@ -65,7 +64,6 @@ __all__ = [
     "Event",
     "Histogram",
     "LockAcquire",
-    "LockContention",
     "LockRelease",
     "MetricsRegistry",
     "MutexBodyDiscovered",

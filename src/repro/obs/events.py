@@ -25,7 +25,6 @@ __all__ = [
     "HappensBeforeEdge",
     "LockAcquire",
     "LockBlockedInterval",
-    "LockContention",
     "LockHeldInterval",
     "LockRelease",
     "MutexBodyDiscovered",
@@ -253,36 +252,12 @@ class LockRelease(Event):
         }
 
 
-class LockContention(Event):
-    """One global step during which a runnable thread sat blocked on a
-    lock held by another thread (emitted once per blocked thread per
-    step, mirroring ``Execution.lock_blocked_steps``)."""
-
-    kind = "lock-contention"
-    __slots__ = ("step", "lock", "tid", "owner")
-
-    def __init__(self, step: int, lock: str, tid: tuple, owner: tuple) -> None:
-        super().__init__()
-        self.step = step
-        self.lock = lock
-        self.tid = tid
-        self.owner = owner
-
-    def payload(self) -> dict:
-        return {
-            "step": self.step,
-            "lock": self.lock,
-            "tid": tid_str(self.tid),
-            "owner": tid_str(self.owner),
-        }
-
-
 class LockHeldInterval(Event):
-    """One closed hold of a lock: acquire step → release step.
+    """One hold of a lock: acquire step → release step.
 
     Emitted when the hold *closes* (at the unlock, or flushed with
-    ``open=True`` at run end when the run finished with the lock still
-    held, e.g. across a deadlock).  ``from_step``/``to_step`` are
+    ``open=True`` and the run's last step when the run finished with the
+    lock still held, e.g. across a deadlock).  ``from_step``/``to_step`` are
     global-step numbers; exporters with a duration notion (chrome)
     render these as complete events on a per-lock track.
     """
@@ -311,10 +286,11 @@ class LockHeldInterval(Event):
 
 
 class LockBlockedInterval(Event):
-    """One contiguous interval a thread spent blocked on a lock.
+    """One maximal run of steps a thread spent waiting at ``lock(L)``
+    while L was held.
 
-    Closes when the blocked thread finally acquires (or at run end,
-    flushed with ``open=True`` — the deadlock signature)."""
+    Closes when L is released (or at run end, flushed with
+    ``open=True`` — the deadlock signature)."""
 
     kind = "lock-blocked-interval"
     __slots__ = ("lock", "tid", "from_step", "to_step", "open")

@@ -1,21 +1,24 @@
 """Exhaustive interleaving exploration (a tiny model checker).
 
-Enumerates **every** schedule of a compiled program by depth-first
-search over canonical machine states, memoizing the set of observable
-outcome suffixes per state.  An *outcome* is the tuple of observable
-events (``("print", values)`` / ``("call", name, values)``) produced by
-one complete schedule, optionally terminated by a ``("deadlock",)`` or
-``("error", msg)`` marker; a state cycle (livelock) contributes a
-``("livelock",)`` marker.
+:func:`explore` and :func:`find_witness` are drivers of the one
+transition in :mod:`repro.vm.semantics`, with no observers attached.
+:func:`explore` enumerates **every** schedule of a compiled program by
+depth-first search over canonical machine states, memoizing the set of
+observable outcome suffixes per state.  An *outcome* is the tuple of
+observable events (``("print", values)`` / ``("call", name, values)``)
+produced by one complete schedule, optionally terminated by a
+``("deadlock",)`` or ``("error", msg)`` marker; a state cycle
+(livelock) contributes a ``("livelock",)`` marker.
 
 The verification suite uses :func:`explore` to prove that an optimized
 program has exactly the same outcome set as the original — for every
 schedule, not just sampled ones.
 
-State canonicalization: threads are keyed by their spawn path (so two
-schedules reaching the same configuration share a state), zero-valued
-variables are dropped from memory, and output produced so far is *not*
-part of the state (outcomes are composed from memoized suffixes).
+The memo key is the machine state itself: threads are keyed by their
+spawn path (so two schedules reaching the same configuration share a
+state), an unset variable and a zero one are the same memory, and output
+produced so far is *not* part of the state (outcomes are composed from
+memoized suffixes).
 """
 
 from __future__ import annotations
@@ -26,15 +29,10 @@ from typing import Callable, Iterable, Optional, Union
 from repro.errors import VMError
 from repro.ir.structured import ProgramIR
 from repro.obs.trace import get_tracer
-from repro.opt.folding import eval_expr_concrete
-from repro.vm.bytecode import Op, VMProgram
-from repro.vm.compile import compile_program
-from repro.vm.machine import default_functions
+from repro.vm.bytecode import VMProgram
+from repro.vm.semantics import Machine
 
 __all__ = ["ExplorationResult", "explore", "find_witness"]
-
-# A thread record: (tid, pc, status, pending) with status "r"un/"j"oin.
-_ThreadRec = tuple
 
 
 class ExplorationResult:
@@ -97,132 +95,12 @@ class ExplorationResult:
 
 
 class _Explorer:
-    def __init__(
-        self,
-        program: VMProgram,
-        functions: Callable[[str, list[int]], int],
-        max_states: int,
-    ) -> None:
-        self.program = program
-        self.functions = functions
+    def __init__(self, machine: Machine, max_states: int) -> None:
+        self.machine = machine
         self.max_states = max_states
         self.memo: dict[tuple, frozenset] = {}
         self.gray: set[tuple] = set()
         self.truncated = False
-
-    # -- state helpers -----------------------------------------------------
-
-    def initial_state(self) -> tuple:
-        threads = ((((), self.program.entry, "r", 0)),)
-        return (threads, (), (), ())
-
-    def _eval(self, expr, memory: dict) -> int:
-        return eval_expr_concrete(
-            expr, lambda name: memory.get(name, 0), self.functions
-        )
-
-    def _runnable(self, state: tuple) -> list[int]:
-        threads, memory_t, locks_t, events_t = state
-        locks = dict(locks_t)
-        events = set(events_t)
-        out = []
-        for i, (tid, pc, status, _pending) in enumerate(threads):
-            if status != "r":
-                continue
-            instr = self.program.instrs[pc]
-            if instr.op is Op.LOCK and locks.get(instr.name) is not None:
-                continue
-            if instr.op is Op.WAIT and instr.name not in events:
-                continue
-            out.append(i)
-        return out
-
-    def _step(self, state: tuple, index: int) -> tuple[Optional[tuple], tuple]:
-        """Execute thread ``index``; returns (event or None, next state)."""
-        threads_t, memory_t, locks_t, events_t = state
-        threads = {t[0]: list(t) for t in threads_t}
-        memory = dict(memory_t)
-        locks = dict(locks_t)
-        events = set(events_t)
-
-        tid = threads_t[index][0]
-        rec = threads[tid]
-        instr = self.program.instrs[rec[1]]
-        op = instr.op
-        event: Optional[tuple] = None
-
-        if op is Op.ASSIGN:
-            memory[instr.name] = self._eval(instr.expr, memory)
-            rec[1] += 1
-        elif op is Op.PRINT:
-            event = ("print", tuple(self._eval(e, memory) for e in instr.exprs))
-            rec[1] += 1
-        elif op is Op.CALL:
-            event = (
-                "call",
-                instr.name,
-                tuple(self._eval(e, memory) for e in instr.exprs),
-            )
-            rec[1] += 1
-        elif op is Op.LOCK:
-            locks[instr.name] = tid
-            rec[1] += 1
-        elif op is Op.UNLOCK:
-            if locks.get(instr.name) != tid:
-                raise VMError(f"unlock of un-owned lock {instr.name}")
-            del locks[instr.name]
-            rec[1] += 1
-        elif op is Op.SET:
-            events.add(instr.name)
-            rec[1] += 1
-        elif op is Op.WAIT:
-            rec[1] += 1
-        elif op is Op.BARRIER:
-            waiting = [
-                t_id
-                for t_id, t_rec in threads.items()
-                if t_rec[2] == "b"
-                and self.program.instrs[t_rec[1]].op is Op.BARRIER
-                and self.program.instrs[t_rec[1]].name == instr.name
-            ]
-            if len(waiting) + 1 >= (instr.target or 1):
-                for t_id in waiting:
-                    threads[t_id][2] = "r"
-                    threads[t_id][1] += 1
-                rec[1] += 1
-            else:
-                rec[2] = "b"
-        elif op is Op.JUMP:
-            rec[1] = instr.target
-        elif op is Op.BRANCH:
-            if self._eval(instr.expr, memory) != 0:
-                rec[1] += 1
-            else:
-                rec[1] = instr.target
-        elif op is Op.COBEGIN:
-            rec[2] = "j"
-            rec[3] = len(instr.entries)
-            rec[1] = instr.target
-            for i, entry in enumerate(instr.entries):
-                child_tid = tid + (i,)
-                threads[child_tid] = [child_tid, entry, "r", 0]
-        elif op is Op.END_THREAD or op is Op.HALT:
-            del threads[tid]
-            if op is Op.END_THREAD:
-                parent = threads[tid[:-1]]
-                parent[3] -= 1
-                if parent[3] == 0:
-                    parent[2] = "r"
-        else:  # pragma: no cover - defensive
-            raise VMError(f"unknown instruction {instr!r}")
-
-        new_threads = tuple(
-            tuple(threads[k]) for k in sorted(threads.keys())
-        )
-        new_memory = tuple(sorted((k, v) for k, v in memory.items() if v != 0))
-        new_locks = tuple(sorted(locks.items()))
-        new_events = tuple(sorted(events))
-        return event, (new_threads, new_memory, new_locks, new_events)
 
     # -- DFS with memoized suffixes ---------------------------------------------
 
@@ -242,14 +120,14 @@ class _Explorer:
             return frozenset({(("truncated",),)})
 
         self.gray.add(state)
-        runnable = self._runnable(state)
+        runnable = self.machine.runnable(state)
         collected: set = set()
         if not runnable:
             collected.add((("deadlock",),))
         else:
             for index in runnable:
                 try:
-                    event, next_state = self._step(state, index)
+                    event, next_state = self.machine.step(state, index)
                 except VMError as exc:
                     collected.add((("error", str(exc)),))
                     continue
@@ -281,9 +159,7 @@ def find_witness(
     Returns ``None`` when no schedule produces the outcome within the
     state budget.
     """
-    if isinstance(program, ProgramIR):
-        program = compile_program(program)
-    explorer = _Explorer(program, functions or default_functions, max_states)
+    machine = Machine(program, functions)
 
     # Depth-first search over (state, produced-prefix) pairs.  The memo
     # keyed by (state, remaining-suffix) bounds the search.
@@ -297,7 +173,7 @@ def find_witness(
         threads = state[0]
         if not threads:
             return list(schedule) if not remaining else None
-        runnable = explorer._runnable(state)
+        runnable = machine.runnable(state)
         if not runnable:
             # Terminal deadlock: matches only the deadlock marker.
             if remaining == (("deadlock",),):
@@ -306,7 +182,7 @@ def find_witness(
         for index in runnable:
             tid = threads[index][0]
             try:
-                event, next_state = explorer._step(state, index)
+                event, next_state = machine.step(state, index)
             except VMError:
                 continue
             if event is None:
@@ -327,7 +203,7 @@ def find_witness(
     tracer = get_tracer()
     try:
         with tracer.span("find-witness", max_states=max_states) as span:
-            schedule = dfs(explorer.initial_state(), tuple(outcome), [])
+            schedule = dfs(machine.initial_state(), tuple(outcome), [])
             span.set(
                 found=schedule is not None,
                 states_considered=len(seen),
@@ -349,15 +225,14 @@ def explore(
     number of concurrent statements); ``max_states`` bounds the search
     and marks the result incomplete when hit.
     """
-    if isinstance(program, ProgramIR):
-        program = compile_program(program)
-    explorer = _Explorer(program, functions or default_functions, max_states)
+    machine = Machine(program, functions)
+    explorer = _Explorer(machine, max_states)
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 100_000))
     tracer = get_tracer()
     try:
         with tracer.span("explore", max_states=max_states) as span:
-            outcomes = explorer.outcomes(explorer.initial_state())
+            outcomes = explorer.outcomes(machine.initial_state())
             span.set(
                 states=len(explorer.memo),
                 outcomes=len(outcomes),

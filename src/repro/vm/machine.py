@@ -1,22 +1,19 @@
-"""The interleaving virtual machine (seeded random scheduler).
+"""The seeded random scheduler and schedule replay.
 
-Semantics:
+Both are drivers of the one transition in :mod:`repro.vm.semantics`:
+:meth:`VirtualMachine.run` picks the next thread with ``rng.choice``
+over the runnable threads in thread-id order, and
+:meth:`VirtualMachine.replay` follows a given schedule.  Run-time
+bookkeeping is done by :class:`Observer` objects the drivers notify
+(the exhaustive explorer and witness search attach none):
 
-* one instruction executes atomically per step (statement-granularity
-  interleaving, the paper's memory model);
-* unset variables read as 0;
-* ``lock`` blocks while held by another thread (non-reentrant: a thread
-  re-acquiring its own lock self-deadlocks, as with a plain pthreads
-  mutex);
-* ``wait`` blocks until the event has been ``set`` (events are sticky:
-  Set with no Clear, as in the paper);
-* ``print`` and opaque call *statements* are the observable events of a
-  program; calls in expression position are pure and evaluated through a
-  deterministic binding (user-suppliable).
-
-Instrumentation: the machine counts, per lock, how many global steps it
-was held and how many steps threads spent blocked on it — the metrics
-the LICM benchmarks report.
+* the lock account, which records ``Execution.lock_intervals`` — the
+  one source of every per-lock number (``lock_held_steps``,
+  ``lock_blocked_steps``, ``lock_acquisitions`` and the ``lock-*``
+  trace events, the metrics the LICM benchmarks report);
+* the tracer's ``vm-step`` / ``context-switch`` events, when a tracer
+  is enabled;
+* an optional happens-before tracker (:class:`repro.dynamic.hb.HBTracker`).
 """
 
 from __future__ import annotations
@@ -30,40 +27,39 @@ from repro.obs.events import (
     ContextSwitch,
     LockAcquire,
     LockBlockedInterval,
-    LockContention,
     LockHeldInterval,
     LockRelease,
     VMStep,
 )
 from repro.obs.trace import get_tracer
-from repro.opt.folding import eval_expr_concrete
 from repro.vm.bytecode import Instr, Op, VMProgram
-from repro.vm.compile import compile_program
+from repro.vm.semantics import Machine, default_functions
 
-__all__ = ["Execution", "VirtualMachine", "default_functions", "run_random"]
+__all__ = ["Execution", "Observer", "VirtualMachine", "default_functions", "run_random"]
 
 
-def default_functions(name: str, args: list[int]) -> int:
-    """Deterministic stand-in for opaque pure functions.
+class Observer:
+    """Run-time bookkeeping notified by the random and replay drivers.
 
-    Any pure deterministic binding is semantically admissible (the
-    static analyses treat calls as unknown values); this one mixes the
-    name and arguments so different calls give different values.
+    ``on_step`` runs before step number ``step`` executes ``instr`` (at
+    ``pc``) of thread ``tid`` in ``state``; the structural hooks run
+    from inside the transition; ``on_end`` sees the final state.
     """
-    acc = sum(ord(c) for c in name) * 131
-    for i, a in enumerate(args):
-        acc = acc * 31 + (i + 1) * a
-    return acc % 1009 - 504
 
+    def on_step(self, step: int, state: tuple, tid: tuple, pc: int, instr: Instr) -> None:
+        pass
 
-class _Thread:
-    __slots__ = ("tid", "pc", "status", "pending")
+    def on_spawn(self, parent: tuple, children: tuple) -> None:
+        pass
 
-    def __init__(self, tid: tuple, pc: int) -> None:
-        self.tid = tid
-        self.pc = pc
-        self.status = "run"  # "run" | "join" | "done"
-        self.pending = 0  # children still running (status == "join")
+    def on_thread_end(self, child: tuple, parent: tuple) -> None:
+        pass
+
+    def on_barrier_release(self, name: str, tids: list[tuple]) -> None:
+        pass
+
+    def on_end(self, steps: int, state: tuple) -> None:
+        pass
 
 
 class Execution:
@@ -74,19 +70,41 @@ class Execution:
         self.events: list[tuple] = []
         self.steps = 0
         self.deadlocked = False
-        #: lock name → total global steps the lock was held
-        self.lock_held_steps: dict[str, int] = {}
-        #: lock name → total steps threads spent blocked on it
-        self.lock_blocked_steps: dict[str, int] = {}
-        #: lock name → number of successful acquisitions
-        self.lock_acquisitions: dict[str, int] = {}
         #: per-lock contention timeline: dicts with ``kind`` ("held" |
         #: "blocked"), ``lock``, ``tid`` (spawn-path tuple), ``from``/
         #: ``to`` global steps, and ``open`` (True when the interval was
-        #: still running at run end — the deadlock signature)
+        #: still running at run end — the deadlock signature).  A held
+        #: interval covers the steps ``from+1 … to`` that ran while the
+        #: lock was held (``from`` acquires, ``to`` releases or is the
+        #: last step); a blocked interval covers the steps ``from …
+        #: to-1`` that ran while ``tid`` waited at ``lock`` with the lock
+        #: held, so it ends at the release.
         self.lock_intervals: list[dict] = []
-        #: final shared memory
+        #: final shared memory: every variable the run assigned
         self.memory: dict[str, int] = {}
+
+    def _per_lock(self, kind: str, count_steps: bool) -> dict[str, int]:
+        totals: dict[str, int] = {}
+        for interval in self.lock_intervals:
+            if interval["kind"] == kind:
+                n = interval["to"] - interval["from"] if count_steps else 1
+                totals[interval["lock"]] = totals.get(interval["lock"], 0) + n
+        return {lock: n for lock, n in totals.items() if n}
+
+    @property
+    def lock_held_steps(self) -> dict[str, int]:
+        """Lock name → steps executed while it was held."""
+        return self._per_lock("held", True)
+
+    @property
+    def lock_blocked_steps(self) -> dict[str, int]:
+        """Lock name → steps threads spent blocked on it."""
+        return self._per_lock("blocked", True)
+
+    @property
+    def lock_acquisitions(self) -> dict[str, int]:
+        """Lock name → number of successful acquisitions."""
+        return self._per_lock("held", False)
 
     @property
     def printed(self) -> list[tuple]:
@@ -101,6 +119,91 @@ class Execution:
         return f"Execution(events={len(self.events)}, steps={self.steps})"
 
 
+class _TraceSteps(Observer):
+    """``vm-step`` and ``context-switch`` events for an enabled tracer."""
+
+    def __init__(self, tracer) -> None:
+        self.tracer = tracer
+        self.last_tid: Optional[tuple] = None
+
+    def on_step(self, step, state, tid, pc, instr) -> None:
+        tracer = self.tracer
+        if self.last_tid is not None and self.last_tid != tid:
+            tracer.event(ContextSwitch(step, self.last_tid, tid))
+            tracer.counter("vm.context_switches").inc()
+        self.last_tid = tid
+        tracer.event(VMStep(step, tid, instr.op.name))
+        tracer.counter("vm.steps").inc()
+
+
+class _LockAccount(Observer):
+    """The one lock account: opens and closes ``lock_intervals``.
+
+    Before each step it opens a blocked interval for every thread newly
+    waiting at ``lock(L)`` while L is held; an acquire opens a held
+    interval, and a release closes it together with every blocked
+    interval on that lock.  Intervals still open at run end are closed
+    with ``open=True``.  All ``lock-*`` trace events and ``vm.lock_*``
+    metrics are emitted here, as intervals open or close.
+    """
+
+    def __init__(self, instrs: list[Instr], intervals: list[dict], tracer) -> None:
+        self.instrs = instrs
+        self.intervals = intervals
+        self.tracer = tracer
+        self.held: dict[str, tuple] = {}  # lock → (owner tid, acquiring step)
+        self.blocked: dict[tuple, int] = {}  # (lock, tid) → first blocked step
+
+    def on_step(self, step, state, tid, pc, instr) -> None:
+        locks = state[2]
+        if locks:
+            held = {name for name, _owner in locks}
+            for t_tid, t_pc, t_status, _pending in state[0]:
+                waits = self.instrs[t_pc]
+                if t_status == "r" and waits.op is Op.LOCK and waits.name in held:
+                    self.blocked.setdefault((waits.name, t_tid), step)
+        tracer = self.tracer
+        if instr.op is Op.LOCK:
+            self.held[instr.name] = (tid, step)
+            if tracer.enabled:
+                tracer.event(LockAcquire(step, instr.name, tid))
+                tracer.counter(f"vm.lock_acquisitions.{instr.name}").inc()
+        elif instr.op is Op.UNLOCK and self.held.get(instr.name, (None,))[0] == tid:
+            # (an un-owned unlock faults in the transition instead)
+            since = self.held[instr.name][1]
+            if tracer.enabled:
+                tracer.event(LockRelease(step, instr.name, tid, step - since))
+                tracer.histogram(f"vm.lock_hold_steps.{instr.name}").observe(step - since)
+            self._close_held(instr.name, step, False)
+            for key in [k for k in self.blocked if k[0] == instr.name]:
+                self._close_blocked(key, step + 1, False)
+
+    def on_end(self, steps, state) -> None:
+        for lock in sorted(self.held):
+            self._close_held(lock, steps - 1, True)
+        for key in sorted(self.blocked):
+            self._close_blocked(key, steps, True)
+
+    def _close_held(self, lock: str, to: int, still_open: bool) -> None:
+        tid, since = self.held.pop(lock)
+        self._record("held", lock, tid, since, to, still_open)
+        if self.tracer.enabled:
+            self.tracer.event(LockHeldInterval(lock, tid, since, to, still_open))
+
+    def _close_blocked(self, key: tuple, to: int, still_open: bool) -> None:
+        lock, tid = key
+        since = self.blocked.pop(key)
+        self._record("blocked", lock, tid, since, to, still_open)
+        if self.tracer.enabled:
+            self.tracer.event(LockBlockedInterval(lock, tid, since, to, still_open))
+            self.tracer.counter(f"vm.lock_blocked_steps.{lock}").inc(to - since)
+
+    def _record(self, kind, lock, tid, since, to, still_open) -> None:
+        self.intervals.append(
+            {"kind": kind, "lock": lock, "tid": tid, "from": since, "to": to, "open": still_open}
+        )
+
+
 class VirtualMachine:
     """Runs a compiled program under a seeded random scheduler."""
 
@@ -110,302 +213,80 @@ class VirtualMachine:
         seed: int = 0,
         functions: Optional[Callable[[str, list[int]], int]] = None,
         fuel: int = 1_000_000,
-        hb: Optional[object] = None,
+        hb: Optional[Observer] = None,
     ) -> None:
-        if isinstance(program, ProgramIR):
-            program = compile_program(program)
-        self.program = program
+        self.machine = Machine(program, functions)
         self.rng = random.Random(seed)
-        self.functions = functions or default_functions
         self.fuel = fuel
-
-        self.memory: dict[str, int] = {}
-        self.locks: dict[str, tuple] = {}  # lock name → owner tid
-        self.events_set: set[str] = set()
-        self.threads: dict[tuple, _Thread] = {}
-        main = _Thread((), self.program.entry)
-        self.threads[()] = main
+        self.state = self.machine.initial_state()
         self.execution = Execution()
-        #: the tracer in effect at construction time; with the default
-        #: no-op tracer every hook below is one attribute read + branch
-        self.tracer = get_tracer()
-        #: optional happens-before tracker (repro.dynamic.hb.HBTracker);
-        #: None keeps the default path at one attribute read + branch
-        self.hb = hb
-        self._last_tid: Optional[tuple] = None
-        self._acquired_at: dict[str, int] = {}  # lock → step of acquisition
-        self._blocked_since: dict[tuple, int] = {}  # (lock, tid) → step
+        tracer = get_tracer()
+        #: notified around every step, in this order; ``hb`` is an
+        #: optional happens-before tracker (repro.dynamic.hb.HBTracker)
+        self.observers: list[Observer] = [
+            *([hb] if hb is not None else []),
+            *([_TraceSteps(tracer)] if tracer.enabled else []),
+            _LockAccount(self.machine.instrs, self.execution.lock_intervals, tracer),
+        ]
+        self._assigned: dict[str, None] = {}  # first-write order
 
-    # -- expression evaluation ----------------------------------------------
+    def _advance(self, index: int) -> None:
+        state, ex, observers = self.state, self.execution, self.observers
+        tid, pc, _status, _pending = state[0][index]
+        instr = self.machine.instrs[pc]
+        for observer in observers:
+            observer.on_step(ex.steps, state, tid, pc, instr)
+        event, self.state = self.machine.step(state, index, observers)
+        if event is not None:
+            ex.events.append(event)
+        elif instr.op is Op.ASSIGN:
+            self._assigned[instr.name] = None
+        ex.steps += 1
 
-    def _env(self, name: str) -> int:
-        return self.memory.get(name, 0)
-
-    def _eval(self, expr) -> int:
-        return eval_expr_concrete(expr, self._env, self.functions)
-
-    # -- scheduling ------------------------------------------------------------
-
-    def _is_runnable(self, thread: _Thread) -> bool:
-        if thread.status != "run":
-            return False
-        instr = self.program.instrs[thread.pc]
-        if instr.op is Op.LOCK:
-            return self.locks.get(instr.name) is None
-        if instr.op is Op.WAIT:
-            return instr.name in self.events_set
-        return True
-
-    def _alive(self) -> list[_Thread]:
-        return [t for t in self.threads.values() if t.status != "done"]
+    def _finish(self) -> Execution:
+        ex = self.execution
+        memory, slots = self.state[1], self.machine.slots
+        ex.memory = {name: memory[slots[name]] for name in self._assigned}
+        for observer in self.observers:
+            observer.on_end(ex.steps, self.state)
+        return ex
 
     def run(self, raise_on_deadlock: bool = True) -> Execution:
         """Execute to completion (or deadlock / fuel exhaustion)."""
-        ex = self.execution
-        while True:
-            alive = self._alive()
-            if not alive:
-                break
-            runnable = [t for t in alive if self._is_runnable(t)]
+        ex, runnable_in, choice = self.execution, self.machine.runnable, self.rng.choice
+        while self.state[0]:
+            runnable = runnable_in(self.state)
             if not runnable:
-                blocked = {
-                    t.tid for t in alive if t.status in ("run", "barrier")
-                }
                 ex.deadlocked = True
                 if raise_on_deadlock:
-                    raise DeadlockError(blocked, self.locks)
+                    threads, _memory, locks, _events = self.state
+                    blocked = {t[0] for t in threads if t[2] != "j"}
+                    raise DeadlockError(blocked, dict(locks))
                 break
             if ex.steps >= self.fuel:
                 raise StepLimitExceeded(self.fuel)
-            thread = self.rng.choice(sorted(runnable, key=lambda t: t.tid))
-            self._account_lock_time(alive)
-            self._step(thread)
-            ex.steps += 1
-        ex.memory = dict(self.memory)
-        self._flush_intervals()
-        return ex
-
-    def _flush_intervals(self) -> None:
-        """Close still-open hold/blocked intervals at run end.
-
-        An interval open at termination (a lock held across a deadlock,
-        a thread still blocked) is recorded with ``open=True`` so the
-        timeline stays a complete account of the run.
-        """
-        steps = self.execution.steps
-        for lock, since in sorted(self._acquired_at.items()):
-            self.execution.lock_intervals.append(
-                {
-                    "kind": "held",
-                    "lock": lock,
-                    "tid": self.locks.get(lock, ()),
-                    "from": since,
-                    "to": steps,
-                    "open": True,
-                }
-            )
-        self._acquired_at.clear()
-        for (lock, tid), since in sorted(self._blocked_since.items()):
-            self.execution.lock_intervals.append(
-                {
-                    "kind": "blocked",
-                    "lock": lock,
-                    "tid": tid,
-                    "from": since,
-                    "to": steps,
-                    "open": True,
-                }
-            )
-        self._blocked_since.clear()
-
-    def _account_lock_time(self, alive: list[_Thread]) -> None:
-        ex = self.execution
-        tracer = self.tracer
-        for lock_name in self.locks:
-            ex.lock_held_steps[lock_name] = ex.lock_held_steps.get(lock_name, 0) + 1
-        for t in alive:
-            if t.status != "run":
-                continue
-            instr = self.program.instrs[t.pc]
-            if instr.op is Op.LOCK and self.locks.get(instr.name) is not None:
-                ex.lock_blocked_steps[instr.name] = (
-                    ex.lock_blocked_steps.get(instr.name, 0) + 1
-                )
-                self._blocked_since.setdefault((instr.name, t.tid), ex.steps)
-                if tracer.enabled:
-                    tracer.event(
-                        LockContention(
-                            ex.steps, instr.name, t.tid, self.locks[instr.name]
-                        )
-                    )
-                    tracer.counter(f"vm.lock_blocked_steps.{instr.name}").inc()
-
-    # -- execution ---------------------------------------------------------------
-
-    def _step(self, thread: _Thread) -> None:
-        instr = self.program.instrs[thread.pc]
-        op = instr.op
-        tracer = self.tracer
-        if self.hb is not None:
-            self.hb.on_step(thread.tid, thread.pc, instr)
-        if tracer.enabled:
-            steps = self.execution.steps
-            if self._last_tid is not None and self._last_tid != thread.tid:
-                tracer.event(ContextSwitch(steps, self._last_tid, thread.tid))
-                tracer.counter("vm.context_switches").inc()
-            self._last_tid = thread.tid
-            tracer.event(VMStep(steps, thread.tid, op.name))
-            tracer.counter("vm.steps").inc()
-        if op is Op.ASSIGN:
-            self.memory[instr.name] = self._eval(instr.expr)
-            thread.pc += 1
-        elif op is Op.PRINT:
-            values = tuple(self._eval(e) for e in instr.exprs)
-            self.execution.events.append(("print", values))
-            thread.pc += 1
-        elif op is Op.CALL:
-            values = tuple(self._eval(e) for e in instr.exprs)
-            self.execution.events.append(("call", instr.name, values))
-            thread.pc += 1
-        elif op is Op.LOCK:
-            if self.locks.get(instr.name) is not None:  # pragma: no cover
-                raise VMError("scheduled a blocked lock acquire")
-            self.locks[instr.name] = thread.tid
-            ex = self.execution
-            ex.lock_acquisitions[instr.name] = (
-                ex.lock_acquisitions.get(instr.name, 0) + 1
-            )
-            self._acquired_at[instr.name] = ex.steps
-            blocked_since = self._blocked_since.pop((instr.name, thread.tid), None)
-            if blocked_since is not None:
-                ex.lock_intervals.append(
-                    {
-                        "kind": "blocked",
-                        "lock": instr.name,
-                        "tid": thread.tid,
-                        "from": blocked_since,
-                        "to": ex.steps,
-                        "open": False,
-                    }
-                )
-            if tracer.enabled:
-                tracer.event(LockAcquire(ex.steps, instr.name, thread.tid))
-                tracer.counter(f"vm.lock_acquisitions.{instr.name}").inc()
-                if blocked_since is not None:
-                    tracer.event(
-                        LockBlockedInterval(
-                            instr.name, thread.tid, blocked_since, ex.steps
-                        )
-                    )
-            thread.pc += 1
-        elif op is Op.UNLOCK:
-            owner = self.locks.get(instr.name)
-            if owner != thread.tid:
-                raise VMError(
-                    f"unlock({instr.name}) by {thread.tid} but owner is {owner}"
-                )
-            del self.locks[instr.name]
-            ex = self.execution
-            acquired_at = self._acquired_at.pop(instr.name, 0)
-            ex.lock_intervals.append(
-                {
-                    "kind": "held",
-                    "lock": instr.name,
-                    "tid": thread.tid,
-                    "from": acquired_at,
-                    "to": ex.steps,
-                    "open": False,
-                }
-            )
-            if tracer.enabled:
-                held = ex.steps - acquired_at
-                tracer.event(LockRelease(ex.steps, instr.name, thread.tid, held))
-                tracer.event(
-                    LockHeldInterval(instr.name, thread.tid, acquired_at, ex.steps)
-                )
-                tracer.histogram(f"vm.lock_hold_steps.{instr.name}").observe(held)
-            thread.pc += 1
-        elif op is Op.SET:
-            self.events_set.add(instr.name)
-            thread.pc += 1
-        elif op is Op.WAIT:
-            if instr.name not in self.events_set:  # pragma: no cover
-                raise VMError("scheduled a blocked wait")
-            thread.pc += 1
-        elif op is Op.BARRIER:
-            waiting = [
-                t for t in self.threads.values()
-                if t.status == "barrier"
-                and self.program.instrs[t.pc].op is Op.BARRIER
-                and self.program.instrs[t.pc].name == instr.name
-            ]
-            if len(waiting) + 1 >= (instr.target or 1):
-                for other in waiting:
-                    other.status = "run"
-                    other.pc += 1
-                thread.pc += 1
-                if self.hb is not None:
-                    self.hb.on_barrier_release(
-                        instr.name, [t.tid for t in waiting] + [thread.tid]
-                    )
-            else:
-                thread.status = "barrier"
-        elif op is Op.JUMP:
-            thread.pc = instr.target
-        elif op is Op.BRANCH:
-            if self._eval(instr.expr) != 0:
-                thread.pc += 1
-            else:
-                thread.pc = instr.target
-        elif op is Op.COBEGIN:
-            thread.status = "join"
-            thread.pending = len(instr.entries)
-            thread.pc = instr.target
-            for i, entry in enumerate(instr.entries):
-                child = _Thread(thread.tid + (i,), entry)
-                self.threads[child.tid] = child
-            if self.hb is not None:
-                self.hb.on_spawn(
-                    thread.tid, tuple(thread.tid + (i,) for i in range(len(instr.entries)))
-                )
-        elif op is Op.END_THREAD:
-            thread.status = "done"
-            parent = self.threads[thread.tid[:-1]]
-            parent.pending -= 1
-            if parent.pending == 0:
-                parent.status = "run"
-            if self.hb is not None:
-                self.hb.on_thread_end(thread.tid, parent.tid)
-        elif op is Op.HALT:
-            thread.status = "done"
-        else:  # pragma: no cover - defensive
-            raise VMError(f"unknown instruction {instr!r}")
-
+            self._advance(choice(runnable))
+        return self._finish()
 
     def replay(self, schedule: list[tuple]) -> Execution:
         """Execute a fixed schedule (list of thread ids per step).
 
         Used together with :func:`repro.vm.explore.find_witness` to make
         a specific interleaving reproducible.  Raises :class:`VMError`
-        when the schedule names a thread that does not exist or is not
-        runnable at that step.
+        when the schedule names a thread that is not live and runnable
+        at that step.
         """
-        ex = self.execution
         for tid in schedule:
-            thread = self.threads.get(tuple(tid))
-            if thread is None:
-                raise VMError(f"schedule names unknown thread {tid!r}")
-            if not self._is_runnable(thread):
+            tid = tuple(tid)
+            runnable = self.machine.runnable(self.state)
+            index = next((i for i in runnable if self.state[0][i][0] == tid), None)
+            if index is None:
                 raise VMError(f"thread {tid!r} is not runnable at this step")
-            self._account_lock_time(self._alive())
-            self._step(thread)
-            ex.steps += 1
-        ex.memory = dict(self.memory)
-        ex.deadlocked = bool(self._alive()) and not any(
-            self._is_runnable(t) for t in self._alive()
+            self._advance(index)
+        self.execution.deadlocked = bool(self.state[0]) and not self.machine.runnable(
+            self.state
         )
-        self._flush_intervals()
-        return ex
+        return self._finish()
 
 
 def run_random(
@@ -414,7 +295,7 @@ def run_random(
     functions: Optional[Callable[[str, list[int]], int]] = None,
     fuel: int = 1_000_000,
     raise_on_deadlock: bool = True,
-    hb: Optional[object] = None,
+    hb: Optional[Observer] = None,
 ) -> Execution:
     """Compile (if needed) and run once under the given seed.
 

@@ -1,14 +1,8 @@
 """The instrumented stack: decision events match the stats objects,
-event sequences are deterministic, the VM emits runtime events, and the
-critical-section profile can be recomputed from a trace."""
+event sequences are deterministic, and the VM emits runtime events."""
 
 from repro.api import analyze_source, diagnose_source, optimize_source
 from repro.obs.trace import Tracer, use_tracer
-from repro.report import (
-    critical_section_profile,
-    critical_section_profile_from_trace,
-    lock_profile_from_events,
-)
 from repro.vm.machine import run_random
 from tests.conftest import FIGURE1_SOURCE, FIGURE2_SOURCE, build
 
@@ -105,8 +99,10 @@ class TestVMEvents:
         assert sum(e.held_steps for e in releases) == sum(
             ex.lock_held_steps.values()
         )
-        contention = tracer.events_of_kind("lock-contention")
-        assert len(contention) == sum(ex.lock_blocked_steps.values())
+        blocked = tracer.events_of_kind("lock-blocked-interval")
+        assert sum(e.to_step - e.from_step for e in blocked) == sum(
+            ex.lock_blocked_steps.values()
+        )
 
     def test_context_switches_recorded(self):
         tracer = Tracer()
@@ -132,41 +128,6 @@ class TestVMEvents:
             )
         if ex.deadlocked:  # seed-dependent; both branches must trace
             assert len(tracer.events_of_kind("lock-acquire")) >= 2
-        profile = lock_profile_from_events(tracer.events(), ex.steps)
-        assert profile["held"] == ex.lock_held_steps
-        assert profile["acquisitions"] == ex.lock_acquisitions
-
-
-class TestProfileFromTrace:
-    def test_matches_counter_based_profile(self):
-        counters = critical_section_profile(build(FIGURE2_SOURCE))
-        from_trace = critical_section_profile_from_trace(build(FIGURE2_SOURCE))
-        assert counters == from_trace
-
-    def test_matches_on_deadlocking_program(self):
-        """Open holds at deadlock are accounted identically."""
-        for seed in range(6):
-            tracer = Tracer()
-            with use_tracer(tracer):
-                ex = run_random(
-                    build(DEADLOCK_SOURCE), seed=seed, raise_on_deadlock=False
-                )
-            profile = lock_profile_from_events(tracer.events(), ex.steps)
-            assert profile["held"] == ex.lock_held_steps, f"seed {seed}"
-            assert profile["blocked"] == ex.lock_blocked_steps, f"seed {seed}"
-
-    def test_profile_accepts_loaded_dicts(self, tmp_path):
-        """The recompute works on a jsonl trace read back from disk."""
-        from repro.obs.export import load_jsonl, write_trace
-
-        tracer = Tracer()
-        with use_tracer(tracer):
-            ex = run_random(build(FIGURE2_SOURCE), seed=0)
-        path = tmp_path / "vm.jsonl"
-        write_trace(tracer, str(path), "jsonl")
-        records = [r for r in load_jsonl(str(path)) if r["type"] == "event"]
-        profile = lock_profile_from_events(records, ex.steps)
-        assert profile["held"] == ex.lock_held_steps
 
 
 class TestExploreSpans:

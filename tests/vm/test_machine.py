@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, StepLimitExceeded, VMError
+from repro.vm.explore import explore
 from repro.vm.machine import VirtualMachine, default_functions, run_random
 from tests.conftest import build
 
@@ -146,6 +147,18 @@ class TestConcurrency:
     def test_unlock_unowned_raises(self):
         with pytest.raises(VMError):
             run("unlock(L);")
+
+    def test_unlock_unowned_same_error_in_every_driver(self):
+        src = "cobegin begin unlock(M); end begin x = 1; end coend"
+        message = "unlock of un-owned lock M"
+        assert explore(build(src)).outcomes == {(("error", message),)}
+        for seed in range(4):
+            with pytest.raises(VMError) as raised:
+                run(src, seed=seed)
+            assert str(raised.value) == message
+        with pytest.raises(VMError) as raised:
+            VirtualMachine(build(src)).replay([(), (0,)])
+        assert str(raised.value) == message
 
     def test_fuel_limit(self):
         with pytest.raises(StepLimitExceeded):
