@@ -22,7 +22,9 @@ Every call gets an **ephemeral** session by default (results are
 recomputed from scratch); pass a long-lived
 :class:`~repro.session.session.Session` via ``session=`` to reuse
 cached artifacts across calls — the result's ``provenance`` then shows
-the cache traffic.
+the cache traffic.  Each graph stage ends in a cached wire-payload node
+(:mod:`repro.session.stages`), so a warm request is one lookup with no
+compiler work and no re-rendering.
 
 Legacy surface (deprecated since 1.2, kept until 2.0 — see
 ``docs/API.md``): :func:`analyze_source`, :func:`diagnose_source`,
@@ -50,7 +52,6 @@ from repro.mutex.warnings import SyncWarning
 from repro.obs.prof import WORK_PREFIX
 from repro.obs.trace import Tracer, get_tracer, use_tracer
 from repro.opt.pipeline import OptimizationReport
-from repro.report import measure_form
 from repro.results import (
     CompileResult,
     DiagnoseResult,
@@ -59,6 +60,7 @@ from repro.results import (
     result_class_for,
 )
 from repro.session.session import Session
+from repro.session.stages import payload_stage
 
 __all__ = [
     "SERVE_STAGES",
@@ -128,76 +130,7 @@ def _session(session: Optional[Session]) -> Session:
     return session if session is not None else Session()
 
 
-# -- stage handlers: (session, source, options) -> (artifacts, diagnostics) --
-
-
-def _run_analyze(sess: Session, source: str, opts: dict):
-    form = sess.analyze(
-        source, prune=opts["prune"], prune_events=opts["prune_events"]
-    )
-    rewrite = None
-    if form.rewrite_stats is not None:
-        rewrite = {
-            "args_removed": form.rewrite_stats.args_removed,
-            "pis_deleted": form.rewrite_stats.pis_deleted,
-        }
-    artifacts = {
-        "listing": format_ir(form.program),
-        "form": "CSSAME" if opts["prune"] else "CSSA",
-        "metrics": measure_form(form.program).as_dict(),
-        "mutex_bodies": len(form.mutex_bodies()),
-        "rewrite": rewrite,
-    }
-    return artifacts, ()
-
-
-def _run_diagnostics(sess: Session, source: str, opts: dict):
-    warnings, races = sess.diagnose(source)
-    frames = [
-        {"kind": w.kind, "message": w.message, "blocks": list(w.blocks)}
-        for w in warnings
-    ]
-    frames += [
-        {"kind": "race", "message": r.message(), "race": r.as_dict()}
-        for r in races
-    ]
-    artifacts = {"warnings": len(warnings), "races": len(races)}
-    return artifacts, tuple(frames)
-
-
-def _run_optimized(sess: Session, source: str, opts: dict):
-    report = sess.optimize(
-        source,
-        passes=tuple(opts["passes"]),
-        use_mutex=opts["use_mutex"],
-        fold_output_uses=opts["fold_output_uses"],
-        simplify=opts["simplify"],
-    )
-    artifacts = {
-        "listing": report.listings["final"],
-        "phases": sorted(report.listings),
-        "constants": len(report.constprop.constants) if report.constprop else 0,
-        "removed": report.pdce.total_removed if report.pdce else 0,
-        "moved": report.licm.total_moved if report.licm else 0,
-        "statements": report.statement_count(),
-        "metrics": measure_form(report.program).as_dict(),
-    }
-    return artifacts, ()
-
-
-def _run_dot(sess: Session, source: str, opts: dict):
-    text = sess.dot(source, title=opts["title"], prune=opts["prune"])
-    return {"dot": text}, ()
-
-
-def _run_bytecode(sess: Session, source: str, opts: dict):
-    program = sess.bytecode(source)
-    artifacts = {
-        "listing": program.disassemble(),
-        "instructions": len(program),
-        "entry": program.entry,
-    }
-    return artifacts, ()
+# -- the one journey that is not a stage-graph walk ------------------------
 
 
 def _run_audit(sess: Session, source: str, opts: dict):
@@ -229,28 +162,6 @@ def _run_audit(sess: Session, source: str, opts: dict):
     return artifacts, tuple(frames)
 
 
-_HANDLERS = {
-    "analyze": _run_analyze,
-    "diagnostics": _run_diagnostics,
-    "optimized": _run_optimized,
-    "dot": _run_dot,
-    "bytecode": _run_bytecode,
-    "audit": _run_audit,
-}
-
-#: wire stage → (stage-graph node, option names that feed its key)
-_GRAPH_STAGE = {
-    "analyze": ("cssame", ("prune", "prune_events")),
-    "diagnostics": ("diagnostics", ()),
-    "optimized": (
-        "optimized",
-        ("passes", "use_mutex", "fold_output_uses", "simplify"),
-    ),
-    "dot": ("dot", ("title", "prune")),
-    "bytecode": ("bytecode", ()),
-}
-
-
 def compile_source(
     source: str,
     stage: str = "diagnostics",
@@ -266,12 +177,16 @@ def compile_source(
     """
     opts = stage_options(stage, options)
     sess = _session(session)
+    payload = payload_stage(stage)
     # Always run under a private tracer so the work/cache counters are
     # exact for *this* request, then forward the capture to the caller's
     # tracer (or the ambient --trace one) so nothing is lost to it.
     tracer = Tracer()
     with use_tracer(tracer):
-        artifacts, diagnostics = _HANDLERS[stage](sess, source, opts)
+        if payload is None:
+            artifacts, diagnostics = _run_audit(sess, source, opts)
+        else:
+            artifacts, diagnostics = sess.payload(stage, source, opts)
     ambient = trace if trace is not None else get_tracer()
     if getattr(ambient, "enabled", False) and ambient is not tracer:
         ambient.absorb(tracer)
@@ -282,11 +197,9 @@ def compile_source(
         if name.startswith(WORK_PREFIX)
     }
     artifact_key = None
-    if stage in _GRAPH_STAGE:
-        node, names = _GRAPH_STAGE[stage]
-        artifact_key = sess.artifact_key(
-            node, source, **{n: opts[n] for n in names}
-        )
+    if payload is not None:
+        # Provenance names the terminal compiler node, not the payload.
+        artifact_key = sess.artifact_key(payload.parent, source, **opts)
     provenance = Provenance(
         source_key=_source_key(source),
         stage=stage,

@@ -3,9 +3,13 @@
 :class:`PersistentStore` layers a disk tier under the in-memory LRU of
 :class:`~repro.session.artifacts.ArtifactCache`:
 
-* every ``put`` lands in memory **and** is spilled to disk as a
-  checksummed pickle, written atomically (temp file + ``os.replace``)
-  so readers never observe a half-written artifact;
+* every ``put`` lands in memory **and** (unless ``persist=False``) is
+  spilled to disk as a checksummed pickle, written atomically (temp
+  file + ``os.replace``) so readers never observe a half-written
+  artifact.  A :class:`~repro.session.session.Session` persists only
+  the wire payload nodes of the stage graph — small pickled plain
+  data — and keeps every compiler object (AST, IR, forms, reports,
+  bytecode) in the memory tier;
 * a ``get`` that misses memory tries the disk tier; a load re-warms the
   memory LRU, so hot keys pay the disk cost once per process;
 * a file that is truncated, tampered with, or unpicklable is treated
@@ -23,7 +27,7 @@ fan-out trick so no directory grows unboundedly.  File format::
 
     RPROART1\\n<sha256-hex-of-payload>\\n<pickled payload>
 
-Spill failures (unpicklable artifact, disk full, permission trouble)
+Spill failures (unpicklable value, disk full, permission trouble)
 degrade the store to memory-only for that artifact and count an
 ``errors`` stat — the compile service never fails a request because
 the cache could not persist it.
@@ -96,9 +100,10 @@ class PersistentStore(ArtifactCache):
         self.record(stage, hit=value is not self._MISSING)
         return value
 
-    def put(self, key: str, value: Any) -> None:
+    def put(self, key: str, value: Any, persist: bool = True) -> None:
         ArtifactCache.put(self, key, value)
-        self._spill(key, value)
+        if persist:
+            self._spill(key, value)
 
     def clear(self, disk: bool = False) -> None:
         """Drop the memory tier; with ``disk=True`` unlink the files too."""

@@ -192,7 +192,12 @@ class ArtifactCache:
         with self._lock:
             self.stats.record(stage, hit=hit)
 
-    def put(self, key: str, value: Any) -> None:
+    def put(self, key: str, value: Any, persist: bool = True) -> None:
+        """Insert ``value`` under ``key`` (evicting LRU entries).
+
+        ``persist`` says whether a layered store may also write the
+        artifact to a slower tier; the memory tier itself ignores it.
+        """
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)

@@ -25,6 +25,14 @@ Sharing rules (what a caller may do with a returned artifact):
   corrupt each other (copy-on-write inside the stage graph), but a
   caller who mutates a shared form sees their edits on the next hit.
 * :meth:`diagnose` returns fresh lists (of shared, immutable findings).
+* :meth:`payload` returns **private** plain data: payload nodes are
+  cached pickled and every lookup decodes fresh containers, so a
+  caller's edits never reach the next hit.
+
+Persistence: a layered cache (the :mod:`repro.serve.store` disk tier)
+is told to persist only the (pickled) payload nodes of the stage graph;
+every compiler object (AST, IR, forms, reports, bytecode) stays in
+memory.
 
 Tracing: every stage lookup runs under a ``stage:<name>`` span carrying
 a ``cache_hit`` attribute, and bumps the ``session.cache.hit`` /
@@ -37,6 +45,7 @@ observes the real pipeline rather than a cache lookup.
 from __future__ import annotations
 
 import contextlib
+import pickle
 from typing import Any, Mapping, Optional
 
 from repro.cssame.builder import CSSAMEForm
@@ -47,7 +56,7 @@ from repro.mutex.warnings import SyncWarning
 from repro.obs.trace import Tracer, get_tracer, use_tracer
 from repro.opt.pipeline import OptimizationReport
 from repro.session.artifacts import ArtifactCache, CacheStats, derive_key, source_key
-from repro.session.stages import STAGES
+from repro.session.stages import STAGES, payload_stage
 from repro.vm.bytecode import VMProgram
 
 __all__ = ["Session"]
@@ -91,7 +100,8 @@ class Session:
         :class:`ArtifactCache` — anything with the same ``get`` /
         ``put`` / ``MISSING`` / ``stats`` surface.  This is how
         ``repro.serve`` layers its persistent on-disk store under the
-        session (``max_entries`` is ignored when ``cache`` is given).
+        session (``max_entries`` is ignored when ``cache`` is given);
+        ``put`` is told which artifacts are payloads worth persisting.
     fresh_when_traced:
         When ``True``, any request made while tracing is enabled
         recomputes every stage it touches (and refreshes the cache with
@@ -163,7 +173,7 @@ class Session:
         if hit:
             with tracer.span(f"stage:{stage}", cache_hit=True):
                 pass
-            return value
+            return pickle.loads(value) if spec.wire else value
         if spec.parent is None:
             parent_value = source
         else:
@@ -177,7 +187,13 @@ class Session:
             # Deterministic work hook: one unit per stage actually
             # computed (cache hits cost no stage work by definition).
             tracer.counter(f"work.session.compute.{stage}").inc()
-        self.cache.put(key, value)
+        if spec.wire is None:
+            self.cache.put(key, value, persist=False)
+        else:
+            # A payload is cached pickled: compact, and every hit decodes
+            # private containers, so no caller can edit a cached answer
+            # (this one hands out the containers it just built).
+            self.cache.put(key, pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
         return value
 
     # -- journeys ------------------------------------------------------------
@@ -261,6 +277,27 @@ class Session:
         """VM bytecode of the (unoptimized) program."""
         with _tracing(trace):
             return self._artifact("bytecode", source, {})
+
+    def payload(
+        self,
+        stage: str,
+        source: str,
+        options: Optional[Mapping[str, Any]] = None,
+        trace: Optional[Tracer] = None,
+    ) -> tuple[dict, tuple]:
+        """The JSON-ready ``(artifacts, diagnostics)`` of wire ``stage``.
+
+        ``options`` are the wire stage's options (unnamed ones take the
+        journey defaults).  A warm call is one cache lookup that decodes
+        a private copy of the cached plain data.
+        """
+        spec = payload_stage(stage)
+        if spec is None:
+            raise KeyError(f"no payload node for wire stage {stage!r}")
+        request = dict(_CHAIN_DEFAULTS[spec.parent])
+        request.update(options or {})
+        with _tracing(trace):
+            return self._artifact(spec.name, source, request)
 
     # -- bookkeeping ---------------------------------------------------------
 

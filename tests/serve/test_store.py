@@ -3,6 +3,7 @@
 import os
 from pathlib import Path
 
+from repro import api
 from repro.serve.store import PersistentStore
 from repro.session.session import Session
 from tests.conftest import FIGURE1_SOURCE
@@ -52,15 +53,17 @@ class TestRestart:
         assert second.store_stats.disk_hits == 1
 
     def test_restarted_session_reuses_artifacts(self, tmp_path):
+        # Wire payloads persist; the compiler objects behind them do not.
         sess1 = Session(cache=PersistentStore(str(tmp_path)))
-        warnings1, races1 = sess1.diagnose(FIGURE1_SOURCE)
+        first = api.compile_source(FIGURE1_SOURCE, "diagnostics", session=sess1)
 
         store2 = PersistentStore(str(tmp_path))
         sess2 = Session(cache=store2)
-        warnings2, races2 = sess2.diagnose(FIGURE1_SOURCE)
-        assert [w.kind for w in warnings1] == [w.kind for w in warnings2]
-        assert len(races1) == len(races2)
+        second = api.compile_source(FIGURE1_SOURCE, "diagnostics", session=sess2)
         assert store2.store_stats.disk_hits > 0
+        assert second.provenance.cache_misses == 0
+        assert second.artifacts == first.artifacts
+        assert second.diagnostics == first.diagnostics
 
     def test_persisted_count(self, tmp_path):
         store = PersistentStore(str(tmp_path))
