@@ -4,8 +4,8 @@ Measures the cost of the warning/race analyses and checks their
 precision/recall on program families with planted synchronization bugs.
 """
 
-from repro.api import diagnose_source
 from repro.bench import register
+from repro.session import Session
 from repro.synth import GeneratorConfig, generate_source
 
 from benchmarks.common import print_table
@@ -42,7 +42,7 @@ BUGGY = {
 def bench_diagnostics() -> dict:
     planted = {}
     for name, source in BUGGY.items():
-        warnings, races = diagnose_source(source)
+        warnings, races = Session().diagnose(source)
         planted[name] = {"warnings": len(warnings), "races": len(races)}
     assert planted["unmatched-lock"]["warnings"] >= 1
     assert planted["improper-nesting"]["warnings"] >= 1
@@ -54,7 +54,7 @@ def bench_diagnostics() -> dict:
             GeneratorConfig(seed=seed, race_free=True, n_locks=2,
                             p_critical=0.7)
         )
-        _warnings, races = diagnose_source(source)
+        _warnings, races = Session().diagnose(source)
         false_positives += len(races)
     assert false_positives == 0
     detected = 0
@@ -63,7 +63,7 @@ def bench_diagnostics() -> dict:
             GeneratorConfig(seed=seed, race_free=False, p_critical=0.1,
                             n_shared=3)
         )
-        _warnings, races = diagnose_source(source)
+        _warnings, races = Session().diagnose(source)
         detected += bool(races)
     assert detected >= 6
     return {
@@ -77,7 +77,7 @@ def test_planted_bugs_detected(benchmark):
     def run():
         results = {}
         for name, source in BUGGY.items():
-            warnings, races = diagnose_source(source)
+            warnings, races = Session().diagnose(source)
             results[name] = (len(warnings), len(races))
         return results
 
@@ -103,7 +103,7 @@ def test_random_racefree_precision(benchmark):
                 GeneratorConfig(seed=seed, race_free=True, n_locks=2,
                                 p_critical=0.7)
             )
-            _warnings, races = diagnose_source(source)
+            _warnings, races = Session().diagnose(source)
             false_positives += len(races)
         return false_positives
 
@@ -120,7 +120,7 @@ def test_random_racy_recall(benchmark):
                 GeneratorConfig(seed=seed, race_free=False, p_critical=0.1,
                                 n_shared=3)
             )
-            _warnings, races = diagnose_source(source)
+            _warnings, races = Session().diagnose(source)
             detected += bool(races)
         return detected
 

@@ -60,9 +60,9 @@ def _best_of(fn, repeats: int = _REPEATS) -> float:
 
 def _cold_journey() -> None:
     """Three one-shot facade calls: every one re-runs the front end."""
-    api.analyze_source(JOURNEY_SOURCE)
-    api.diagnose_source(JOURNEY_SOURCE)
-    api.pfg_dot(JOURNEY_SOURCE)
+    Session().analyze(JOURNEY_SOURCE)
+    Session().diagnose(JOURNEY_SOURCE)
+    Session().dot(JOURNEY_SOURCE)
 
 
 def _sweep(session: Session) -> None:
@@ -176,7 +176,7 @@ def emit_bench_session(journey: dict, batch: dict) -> dict:
     group="slow",
     repeat=1,
     profile=False,  # the cache journeys time themselves; an ambient
-    # tracer (fresh_when_traced sessions, span cost) would distort them
+    # tracer (span and counter cost) would distort them
     summary="artifact-cache journey speedups and batch-driver scaling",
     emits=("BENCH_session.json",),
 )

@@ -20,9 +20,9 @@ whole observability trajectory.
 
 from time import perf_counter
 
-from repro.api import optimize_source
 from repro.bench import register
 from repro.obs.trace import NULL_TRACER, Tracer
+from repro.session import Session
 
 from benchmarks.common import FIGURE_CORPUS, emit_bench_obs, print_table
 
@@ -71,9 +71,9 @@ def bench_trace_overhead() -> dict:
     site_cost = _null_site_cost()
     figures = {}
     for name, source in FIGURE_CORPUS.items():
-        disabled = _best_of(lambda: optimize_source(source))
+        disabled = _best_of(lambda: Session().optimize(source))
         probe = Tracer()
-        optimize_source(source, trace=probe)
+        Session().optimize(source, trace=probe)
         sites = len(probe.records)
         disabled_overhead = sites * site_cost / disabled
         assert disabled_overhead < 0.05, (
@@ -92,14 +92,14 @@ def test_trace_overhead_corpus():
     site_cost = _null_site_cost()
     rows = []
     for name, source in FIGURE_CORPUS.items():
-        disabled = _best_of(lambda: optimize_source(source))
+        disabled = _best_of(lambda: Session().optimize(source))
 
         def enabled_run() -> None:
-            optimize_source(source, trace=Tracer())
+            Session().optimize(source, trace=Tracer())
         enabled = _best_of(enabled_run)
 
         probe = Tracer()
-        optimize_source(source, trace=probe)
+        Session().optimize(source, trace=probe)
         sites = len(probe.records)
 
         disabled_overhead = sites * site_cost / disabled
@@ -122,7 +122,7 @@ def test_trace_overhead_corpus():
         )
 
     print_table(
-        "tracer overhead (optimize_source, best of "
+        "tracer overhead (Session.optimize, best of "
         f"{_REPEATS}; site cost {site_cost * 1e9:.0f}ns)",
         ["figure", "off_ms", "on_ms", "sites", "off_overhead", "on_overhead"],
         rows,

@@ -17,6 +17,7 @@ from repro.ir.structured import ProgramIR, clone_program
 from repro.lang.parser import parse
 from repro.obs.trace import Tracer
 from repro.report import measure_form
+from repro.session import Session
 
 FIGURE2_SOURCE = """
 a = 0;
@@ -98,10 +99,8 @@ def traced_figure_observation(name: str, source: str) -> dict:
     the tracer's spans — the same numbers ``repro stats`` prints),
     FormMetrics of the optimized program, and the A.3 decision census.
     """
-    from repro.api import optimize_source
-
     tracer = Tracer()
-    report = optimize_source(source, trace=tracer)
+    report = Session().optimize(source, trace=tracer)
     phases = {
         span.name: round(span.duration * 1e3, 6)
         for span in tracer.spans()

@@ -22,8 +22,8 @@ Quickstart::
     from repro.session import Session
 
     session = Session()
-    result = session.optimize(source_text)
-    print(result.listing())
+    report = session.optimize(source_text)
+    print(report.listings["final"])
 
 The one-shot facade returns typed, wire-ready results (the same
 payloads ``repro serve`` puts on the network)::

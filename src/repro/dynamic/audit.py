@@ -30,17 +30,18 @@ covers the subsystem.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from repro.cfg.conflicts import collect_access_sites, is_memory_access
+from repro.cssame.builder import CSSAMEForm
 from repro.errors import StepLimitExceeded
 from repro.ir.stmts import Pi, SCallStmt, SPrint
-from repro.ir.structured import ProgramIR
 from repro.mutex.races import RaceReport, detect_races
 from repro.obs.prof import record_work
 from repro.obs.trace import get_tracer
 from repro.dynamic.coverage import ScheduleCoverage
 from repro.dynamic.hb import DynamicRace, HBTracker
+from repro.vm.bytecode import VMProgram
 from repro.vm.compile import compile_program
 from repro.vm.explore import explore
 from repro.vm.machine import VirtualMachine
@@ -200,30 +201,35 @@ def _observable_only(graph, sites: dict, var: str, block_id: int) -> bool:
 
 
 def audit_program(
-    program: ProgramIR,
-    static_races: list[RaceReport],
+    form: CSSAMEForm,
+    compiled: VMProgram,
+    static_races: Optional[list[RaceReport]] = None,
     runs: int = 16,
     seed_base: int = 0,
     fuel: int = 1_000_000,
     functions: Optional[Callable[[str, list[int]], int]] = None,
     explore_states: int = 20_000,
     do_explore: bool = True,
-    graph=None,
-    access_sites: Optional[dict] = None,
-    conflict_vars: Iterable[str] = (),
 ) -> AuditReport:
-    """Cross-validate ``static_races`` against ``runs`` traced schedules.
+    """Cross-validate the unpruned CSSA ``form``'s static races against
+    ``runs`` traced schedules of its bytecode ``compiled``.
 
-    The dynamic/static match is at variable granularity: a static race
-    on ``v`` is *confirmed* by any dynamic race on ``v`` (block ids and
-    PCs index different program representations, so finer matching
-    would be spuriously precise).  Witnesses are verified by replay
-    before the report claims them.
+    The static side is the Section 6 lockset report of ``form`` (unless
+    ``static_races`` overrides it — the soundness tests inject
+    fabricated reports that way), its access sites and its conflict
+    variables.  The dynamic/static match is at variable granularity: a
+    static race on ``v`` is *confirmed* by any dynamic race on ``v``
+    (block ids and PCs index different program representations, so
+    finer matching would be spuriously precise).  Witnesses are
+    verified by replay before the report claims them.
     """
+    graph = form.graph
+    if static_races is None:
+        static_races = detect_races(graph, form.structures)
+    access_sites = collect_access_sites(graph)
     tracer = get_tracer()
     report = AuditReport()
-    report.coverage.static_conflict_vars = set(conflict_vars)
-    compiled = compile_program(program)
+    report.coverage.static_conflict_vars = set(graph.conflict_edges.variables())
 
     dynamic: dict[tuple, DynamicRace] = {}
     total_checks = 0
@@ -291,7 +297,7 @@ def audit_program(
             )
             continue
         scope = SCOPE_MONITORED
-        if graph is not None and access_sites is not None and (
+        if (
             _observable_only(graph, access_sites, static.var, static.block_a)
             or _observable_only(graph, access_sites, static.var, static.block_b)
         ):
@@ -325,21 +331,16 @@ def audit_source(
 ) -> AuditReport:
     """Audit a source program end to end.
 
-    Builds the unpruned CSSA form, runs the Section 6 lockset analysis
-    (unless ``static_races`` overrides it — the soundness tests inject
-    fabricated reports that way), then delegates to
+    Builds the unpruned CSSA form and the bytecode through ``session``
+    (an ephemeral one when omitted), then delegates to
     :func:`audit_program`.
     """
     from repro.session.session import Session
 
     session = session if session is not None else Session()
-    form = session.analyze(source, prune=False)
-    if static_races is None:
-        static_races = detect_races(form.graph, form.structures)
-    sites = collect_access_sites(form.graph)
-    conflict_vars = form.graph.conflict_edges.variables()
     return audit_program(
-        session.front_end(source),
+        session.analyze(source, prune=False),
+        compile_program(session.front_end(source)),
         static_races,
         runs=runs,
         seed_base=seed_base,
@@ -347,7 +348,4 @@ def audit_source(
         functions=functions,
         explore_states=explore_states,
         do_explore=do_explore,
-        graph=form.graph,
-        access_sites=sites,
-        conflict_vars=conflict_vars,
     )

@@ -28,7 +28,7 @@ are for transport, comparison, and rendering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 from repro._version import __version__
 
@@ -53,9 +53,9 @@ class Provenance:
 
     source_key: str
     stage: str
-    #: key of the terminal stage artifact (``None`` for journeys that
-    #: are not a single stage-graph walk, e.g. ``audit``)
-    artifact_key: Optional[str]
+    #: key of the wire stage's terminal compiler node (the payload
+    #: node's parent in the stage graph)
+    artifact_key: str
     cache_hits: int
     cache_misses: int
     version: str = __version__
@@ -75,7 +75,7 @@ class Provenance:
         return cls(
             source_key=data["source_key"],
             stage=data["stage"],
-            artifact_key=data.get("artifact_key"),
+            artifact_key=data["artifact_key"],
             cache_hits=int(data["cache_hits"]),
             cache_misses=int(data["cache_misses"]),
             version=data.get("version", __version__),
@@ -99,11 +99,15 @@ class CompileResult:
     work: Mapping[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        """The exact ``result`` object of a server response frame."""
+        """The exact ``result`` object of a server response frame.
+
+        A deep copy: editing it (nested frames included) never changes
+        this result.
+        """
         return {
             "stage": self.stage,
             "artifacts": _plain(self.artifacts),
-            "diagnostics": [dict(frame) for frame in self.diagnostics],
+            "diagnostics": _plain(self.diagnostics),
             "work": dict(self.work),
             "provenance": self.provenance.as_dict(),
         }
@@ -178,9 +182,18 @@ def result_from_dict(data: Mapping[str, Any]) -> CompileResult:
 
 
 def _plain(value: Any) -> Any:
-    """Deep-copy ``value`` into plain dict/list/scalar JSON shapes."""
-    if isinstance(value, Mapping):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
+    """Deep-copy ``value`` into plain dict/list/scalar JSON shapes.
+
+    Payloads hold only dicts, lists, tuples and scalars, so an exact
+    type test suffices; testing it before the call skips one call per
+    scalar (a diagnostics payload is mostly strings and ints).
+    """
+    kind = type(value)
+    if kind is dict:
+        return {k: _plain(v) if type(v) in _CONTAINERS else v for k, v in value.items()}
+    if kind is list or kind is tuple:
+        return [_plain(v) if type(v) in _CONTAINERS else v for v in value]
     return value
+
+
+_CONTAINERS = frozenset((dict, list, tuple))

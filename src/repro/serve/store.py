@@ -10,8 +10,10 @@
   the wire payload nodes of the stage graph — small pickled plain
   data — and keeps every compiler object (AST, IR, forms, reports,
   bytecode) in the memory tier;
-* a ``get`` that misses memory tries the disk tier; a load re-warms the
-  memory LRU, so hot keys pay the disk cost once per process;
+* a ``get`` that misses memory tries the disk tier (unless told the key
+  never persists, as the session says of every compiler object); a
+  load re-warms the memory LRU, so hot keys pay the disk cost once per
+  process;
 * a file that is truncated, tampered with, or unpicklable is treated
   as a **miss, never an error**: the store unlinks it, counts a
   corruption, and the session recomputes the artifact — corruption
@@ -87,9 +89,9 @@ class PersistentStore(ArtifactCache):
 
     # -- layered lookup ------------------------------------------------------
 
-    def get(self, key: str, stage: str) -> Any:
+    def get(self, key: str, stage: str, persist: bool = True) -> Any:
         value = self.peek(key)
-        if value is self._MISSING:
+        if value is self._MISSING and persist:
             value = self._load(key)
             if value is not self._MISSING:
                 self.store_stats.disk_hits += 1

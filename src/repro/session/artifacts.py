@@ -12,7 +12,8 @@ source text *and* ask for the same stage under the same options.  The
 chain means no stage ever has to hash its (possibly large, mutable)
 input value — provenance identifies content, the way a build system's
 action cache keys outputs by the recipe rather than by the bytes it
-produced.
+produced.  A stage with several parents (``audit``) hashes their keys
+joined by commas, in declaration order.
 
 Keys are **versioned**: every digest folds in the package version and
 (for stages) the stage's declared option schema.  An in-process LRU
@@ -161,10 +162,12 @@ class ArtifactCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: str, stage: str) -> Any:
+    def get(self, key: str, stage: str, persist: bool = True) -> Any:
         """The artifact under ``key``, or :data:`ArtifactCache.MISSING`.
 
         Records a hit/miss against ``stage`` and refreshes LRU order.
+        ``persist`` mirrors :meth:`put`: ``False`` tells a layered store
+        the key never reaches a slower tier, so it need not look there.
         """
         with self._lock:
             value = self._entries.get(key, self._MISSING)

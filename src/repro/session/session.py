@@ -2,7 +2,8 @@
 
 A session owns one :class:`~repro.session.artifacts.ArtifactCache` and
 answers pipeline requests (*analyze*, *diagnose*, *optimize*, *dot*,
-*bytecode*) by walking the stage graph of :mod:`repro.session.stages`,
+*bytecode*, and every wire :meth:`~Session.payload`) by walking the
+stage graph of :mod:`repro.session.stages`,
 reusing every artifact the cache already holds.  Sweeping one program
 through analyze + diagnose + dot therefore parses and lowers it once,
 builds each SSA variant once, and pays only the last stage of each
@@ -34,12 +35,14 @@ is told to persist only the (pickled) payload nodes of the stage graph;
 every compiler object (AST, IR, forms, reports, bytecode) stays in
 memory.
 
+Options: every option a request leaves unnamed takes its default from
+:data:`~repro.session.stages.STAGES`, the one table that declares them.
+
 Tracing: every stage lookup runs under a ``stage:<name>`` span carrying
 a ``cache_hit`` attribute, and bumps the ``session.cache.hit`` /
-``session.cache.miss`` counters of the active tracer.  A session built
-with ``fresh_when_traced=True`` (what the :mod:`repro.api` facade uses)
-recomputes stages whenever tracing is enabled, so a traced run always
-observes the real pipeline rather than a cache lookup.
+``session.cache.miss`` counters of the active tracer.  A traced request
+on a fresh session observes the whole pipeline; on a warm one it
+observes the cache lookups that answered it.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ import pickle
 from typing import Any, Mapping, Optional
 
 from repro.cssame.builder import CSSAMEForm
-from repro.ir.printer import format_ir
 from repro.ir.structured import ProgramIR, clone_program
 from repro.mutex.races import RaceReport
 from repro.mutex.warnings import SyncWarning
@@ -60,26 +62,6 @@ from repro.session.stages import STAGES, payload_stage
 from repro.vm.bytecode import VMProgram
 
 __all__ = ["Session"]
-
-_DEFAULT_PASSES = ("constprop", "pdce", "licm")
-
-#: per-journey option defaults, the same values the journey methods
-#: default to — :meth:`Session.artifact_key` fills a request with these
-#: before applying the caller's overrides
-_CHAIN_DEFAULTS: dict[str, dict] = {
-    "ast": {},
-    "ir": {},
-    "cssame": {"prune": True, "prune_events": True},
-    "diagnostics": {},
-    "optimized": {
-        "passes": _DEFAULT_PASSES,
-        "use_mutex": True,
-        "fold_output_uses": True,
-        "simplify": True,
-    },
-    "dot": {"title": "PFG", "prune": True, "prune_events": True},
-    "bytecode": {},
-}
 
 
 def _tracing(trace: Optional[Tracer]):
@@ -101,58 +83,53 @@ class Session:
         ``put`` / ``MISSING`` / ``stats`` surface.  This is how
         ``repro.serve`` layers its persistent on-disk store under the
         session (``max_entries`` is ignored when ``cache`` is given);
-        ``put`` is told which artifacts are payloads worth persisting.
-    fresh_when_traced:
-        When ``True``, any request made while tracing is enabled
-        recomputes every stage it touches (and refreshes the cache with
-        the results).  This preserves the one-shot observability
-        contract of the legacy ``repro.api`` helpers: a traced run's
-        spans and events always describe a full pipeline execution.
+        ``get`` and ``put`` are told which artifacts are payloads, the
+        only ones worth persisting.
     """
 
     def __init__(
         self,
         max_entries: Optional[int] = None,
-        fresh_when_traced: bool = False,
         cache: Optional[ArtifactCache] = None,
     ) -> None:
         self.cache = cache if cache is not None else ArtifactCache(max_entries=max_entries)
-        self.fresh_when_traced = fresh_when_traced
 
     # -- the generic stage walk ---------------------------------------------
 
     def _options_for(self, stage: str, request: Mapping[str, Any]) -> dict:
-        spec = STAGES[stage]
-        return {name: request[name] for name in spec.option_names}
+        """The stage's own options: the request's value, else the default."""
+        return {
+            name: request.get(name, default)
+            for name, default in STAGES[stage].defaults.items()
+        }
 
     def _key_for(self, stage: str, source: str, request: Mapping[str, Any]) -> str:
-        """Artifact key of ``stage`` by walking the parent chain."""
+        """Artifact key of ``stage`` by walking the parent chains."""
         spec = STAGES[stage]
-        if spec.parent is None:
-            parent_key = source_key(source)
+        if spec.parents:
+            parent_request = {**request, **spec.parent_options}
+            parent_key = ",".join(
+                self._key_for(parent, source, parent_request)
+                for parent in spec.parents
+            )
         else:
-            parent_request = dict(request)
-            if spec.parent_options:
-                parent_request.update(spec.parent_options)
-            parent_key = self._key_for(spec.parent, source, parent_request)
+            parent_key = source_key(source)
         return derive_key(
             stage,
             parent_key,
             self._options_for(stage, request),
-            schema=spec.option_names,
+            schema=tuple(spec.defaults),
         )
 
     def artifact_key(self, stage: str, source: str, **options: Any) -> str:
         """The public artifact key of ``stage`` for ``source``.
 
-        ``options`` must name every option of the stage *chain* that
-        differs from the journey defaults (the same names the journey
-        methods accept).  Used by the serve layer for provenance and by
-        store tooling; computing a key never computes the artifact.
+        ``options`` name options of the stage *chain* (the same names the
+        journey methods accept); unnamed ones take their :data:`STAGES`
+        defaults.  Used by the serve layer for provenance and by store
+        tooling; computing a key never computes the artifact.
         """
-        request = dict(_CHAIN_DEFAULTS.get(stage, {}))
-        request.update(options)
-        return self._key_for(stage, source, request)
+        return self._key_for(stage, source, options)
 
     def _artifact(self, stage: str, source: str, request: Mapping[str, Any]) -> Any:
         """The ``stage`` artifact for ``source``, computing on miss.
@@ -162,9 +139,11 @@ class Session:
         """
         spec = STAGES[stage]
         key = self._key_for(stage, source, request)
+        # Only payload nodes persist: a layered store neither writes nor
+        # looks for a compiler object on disk.
+        persist = spec.wire is not None
         tracer = get_tracer()
-        bypass = self.fresh_when_traced and tracer.enabled
-        value = self.cache.MISSING if bypass else self.cache.get(key, stage)
+        value = self.cache.get(key, stage, persist)
         hit = value is not self.cache.MISSING
         if tracer.enabled:
             tracer.counter(
@@ -173,27 +152,28 @@ class Session:
         if hit:
             with tracer.span(f"stage:{stage}", cache_hit=True):
                 pass
-            return pickle.loads(value) if spec.wire else value
-        if spec.parent is None:
-            parent_value = source
+            return pickle.loads(value) if persist else value
+        if spec.parents:
+            parent_request = {**request, **spec.parent_options}
+            inputs = [
+                self._artifact(parent, source, parent_request)
+                for parent in spec.parents
+            ]
         else:
-            parent_request = dict(request)
-            if spec.parent_options:
-                parent_request.update(spec.parent_options)
-            parent_value = self._artifact(spec.parent, source, parent_request)
+            inputs = [source]
         with tracer.span(f"stage:{stage}", cache_hit=False):
-            value = spec.compute(parent_value, self._options_for(stage, request))
+            value = spec.compute(*inputs, self._options_for(stage, request))
         if tracer.enabled:
             # Deterministic work hook: one unit per stage actually
             # computed (cache hits cost no stage work by definition).
             tracer.counter(f"work.session.compute.{stage}").inc()
-        if spec.wire is None:
-            self.cache.put(key, value, persist=False)
-        else:
+        if persist:
             # A payload is cached pickled: compact, and every hit decodes
             # private containers, so no caller can edit a cached answer
             # (this one hands out the containers it just built).
             self.cache.put(key, pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
+        else:
+            self.cache.put(key, value, persist=False)
         return value
 
     # -- journeys ------------------------------------------------------------
@@ -235,7 +215,7 @@ class Session:
     def optimize(
         self,
         source: str,
-        passes: tuple[str, ...] = _DEFAULT_PASSES,
+        passes: tuple[str, ...] = ("constprop", "pdce", "licm"),
         use_mutex: bool = True,
         fold_output_uses: bool = True,
         simplify: bool = True,
@@ -263,15 +243,7 @@ class Session:
     ) -> str:
         """DOT rendering of the PFG (CSSAME, or CSSA with ``prune=False``)."""
         with _tracing(trace):
-            return self._artifact(
-                "dot",
-                source,
-                {
-                    "title": title,
-                    "prune": prune,
-                    "prune_events": True,
-                },
-            )
+            return self._artifact("dot", source, {"title": title, "prune": prune})
 
     def bytecode(self, source: str, trace: Optional[Tracer] = None) -> VMProgram:
         """VM bytecode of the (unoptimized) program."""
@@ -287,23 +259,17 @@ class Session:
     ) -> tuple[dict, tuple]:
         """The JSON-ready ``(artifacts, diagnostics)`` of wire ``stage``.
 
-        ``options`` are the wire stage's options (unnamed ones take the
-        journey defaults).  A warm call is one cache lookup that decodes
-        a private copy of the cached plain data.
+        ``options`` are the wire stage's options (unnamed ones take their
+        :data:`STAGES` defaults).  A warm call is one cache lookup that
+        decodes a private copy of the cached plain data.
         """
         spec = payload_stage(stage)
         if spec is None:
             raise KeyError(f"no payload node for wire stage {stage!r}")
-        request = dict(_CHAIN_DEFAULTS[spec.parent])
-        request.update(options or {})
         with _tracing(trace):
-            return self._artifact(spec.name, source, request)
+            return self._artifact(spec.name, source, options or {})
 
     # -- bookkeeping ---------------------------------------------------------
-
-    def listing(self, program: ProgramIR) -> str:
-        """Source-like listing of a program in any form."""
-        return format_ir(program)
 
     def cache_stats(self) -> CacheStats:
         """Hit/miss/eviction accounting for this session's cache."""

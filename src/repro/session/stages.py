@@ -1,30 +1,33 @@
-"""The pipeline stage graph.
+"""The pipeline stage graph — the one table of stages and their options.
 
 The compiler's journeys all walk one DAG::
 
     source ──> ast ──> ir ──┬─> cssame(prune, prune_events) ──┬─> dot(title)
-                            │        (prune=False is CSSA)    └─> diagnostics
-                            ├─> optimized(passes, use_mutex,
-                            │             fold_output_uses, simplify)
-                            └─> bytecode
+                            │        (prune=False is CSSA)    ├─> diagnostics
+                            │                                 └─┬─> audit(runs, seed_base,
+                            ├─> bytecode ───────────────────────┘     fuel, explore, max_states)
+                            └─> optimized(passes, use_mutex,
+                                          fold_output_uses, simplify)
 
 Each wire stage of the compile service (``analyze``, ``diagnostics``,
-``optimized``, ``dot``, ``bytecode``) ends in a **payload node**
-(``payload.<wire stage>``) whose parent is the stage's terminal node
-(``cssame``, ``diagnostics``, ``optimized``, ``dot``, ``bytecode``) and
-whose artifact is the JSON-ready ``(artifacts, diagnostics)`` plain data
-the service answers with.  A warm request is one lookup of that node:
-no compiler work and no re-rendering.  Payload nodes are also the only
-artifacts a layered store persists (:attr:`StageSpec.wire`); the
-compiler objects above them live in the memory tier only.
+``optimized``, ``dot``, ``bytecode``, ``audit``) ends in a **payload
+node** (``payload.<wire stage>``) whose parent is the stage's terminal
+node and whose artifact is the JSON-ready ``(artifacts, diagnostics)``
+plain data the service answers with.  A warm request is one lookup of
+that node: no compiler work and no re-rendering.  Payload nodes are
+also the only artifacts a layered store persists (:attr:`StageSpec.wire`);
+the compiler objects above them live in the memory tier only.
 
-Each node is a :class:`StageSpec`: a name, the parent stage it consumes,
-the option names that parameterise it, and a pure-from-the-outside
-compute function.  A stage's artifact key is derived from its parent's
-key plus its options (see :mod:`repro.session.artifacts`), so the graph
-doubles as the cache's addressing scheme: asking for ``diagnostics``
-twice walks the same chain of keys and reuses whatever prefix is
-already materialised.
+Each node is a :class:`StageSpec`: a name, the parent stages it
+consumes, its options with their defaults, and a pure-from-the-outside
+compute function.  :data:`STAGES` is the only place options and
+defaults are declared: a wire stage's option schema is derived from the
+chain above its payload node (:func:`wire_schema`), and the session
+fills every unnamed option from here.  A stage's artifact key is
+derived from its parents' keys plus its options (see
+:mod:`repro.session.artifacts`), so the graph doubles as the cache's
+addressing scheme: asking for ``diagnostics`` twice walks the same
+chain of keys and reuses whatever prefix is already materialised.
 
 Mutation discipline — the single invariant that makes caching sound:
 **a compute function must never mutate its input artifact.**  The
@@ -39,11 +42,12 @@ any stage corrupting another's input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional, Tuple
 
 from repro.cfg.dot import to_dot
 from repro.cssame.builder import build_cssame
+from repro.dynamic.audit import audit_program
 from repro.ir.lower import lower_program
 from repro.ir.printer import format_ir
 from repro.ir.structured import clone_program
@@ -56,7 +60,7 @@ from repro.opt.pipeline import optimize
 from repro.report import measure_form
 from repro.vm.compile import compile_program
 
-__all__ = ["STAGES", "StageSpec", "payload_stage", "stage_order"]
+__all__ = ["STAGES", "StageSpec", "payload_stage", "wire_schema"]
 
 
 @dataclass(frozen=True)
@@ -64,15 +68,17 @@ class StageSpec:
     """One node of the pipeline stage graph."""
 
     name: str
-    #: the stage whose artifact this one consumes (``None`` for the root)
-    parent: Optional[str]
-    #: option names that parameterise the stage (part of its cache key)
-    option_names: Tuple[str, ...]
-    #: ``compute(parent_artifact, options) -> artifact``
-    compute: Callable[[Any, Mapping[str, Any]], Any]
-    #: options of the *parent* chain this stage pins (e.g. diagnostics
+    #: the stages whose artifacts this one consumes (``()`` for the root,
+    #: which reads the source text)
+    parents: Tuple[str, ...]
+    #: the stage's options and their defaults; the names are part of its
+    #: cache key
+    defaults: Mapping[str, Any]
+    #: ``compute(*parent_artifacts, options) -> artifact``
+    compute: Callable[..., Any]
+    #: options of the *parent* chains this stage pins (e.g. diagnostics
     #: always reads the unpruned CSSA form)
-    parent_options: Mapping[str, Any] = None  # type: ignore[assignment]
+    parent_options: Mapping[str, Any] = field(default_factory=dict)
     #: the wire stage whose plain-data payload this node computes
     #: (``None`` for compiler-object nodes); only payload nodes persist
     wire: Optional[str] = None
@@ -133,6 +139,19 @@ def _compute_bytecode(ir, options: Mapping[str, Any]):
     # compile_program only reads, but cloning keeps the invariant
     # obvious and costs microseconds next to everything else.
     return compile_program(clone_program(ir))
+
+
+def _compute_audit(form, program, options: Mapping[str, Any]):
+    """Section 6 lockset races of the unpruned form vs. traced runs."""
+    return audit_program(
+        form,
+        program,
+        runs=options["runs"],
+        seed_base=options["seed_base"],
+        fuel=options["fuel"],
+        explore_states=options["max_states"],
+        do_explore=options["explore"],
+    )
 
 
 # -- payload nodes: terminal artifact -> (artifacts, diagnostics) -----------
@@ -196,61 +215,104 @@ def _payload_bytecode(program, options: Mapping[str, Any]):
     return artifacts, ()
 
 
+def _payload_audit(report, options: Mapping[str, Any]):
+    frames = [
+        {"kind": f"race-{f.status}", "message": f.message()}
+        for f in report.findings
+    ]
+    frames += [
+        {"kind": "race-dynamic-only", "message": r.message()}
+        for r in report.dynamic_only
+    ]
+    artifacts = {
+        "audit": report.as_dict(),
+        "sound": report.sound,
+        "exit": report.exit_code(strict=False),
+        "exit_strict": report.exit_code(strict=True),
+    }
+    return artifacts, tuple(frames)
+
+
+#: the unpruned CSSA form Section 6 reads (diagnostics and audit pin it)
+_CSSA = {"prune": False, "prune_events": True}
+
+#: wire stage -> (its terminal compiler node, the payload projection)
+_PAYLOADS = {
+    "analyze": ("cssame", _payload_analyze),
+    "diagnostics": ("diagnostics", _payload_diagnostics),
+    "optimized": ("optimized", _payload_optimized),
+    "dot": ("dot", _payload_dot),
+    "bytecode": ("bytecode", _payload_bytecode),
+    "audit": ("audit", _payload_audit),
+}
+
 #: the stage graph, in dependency order
 STAGES: dict[str, StageSpec] = {
     spec.name: spec
     for spec in (
-        StageSpec("ast", None, (), _compute_ast),
-        StageSpec("ir", "ast", (), _compute_ir),
-        StageSpec("cssame", "ir", ("prune", "prune_events"), _compute_cssame),
+        StageSpec("ast", (), {}, _compute_ast),
+        StageSpec("ir", ("ast",), {}, _compute_ir),
         StageSpec(
-            "diagnostics",
-            "cssame",
-            (),
-            _compute_diagnostics,
-            parent_options={"prune": False, "prune_events": True},
+            "cssame", ("ir",), {"prune": True, "prune_events": True}, _compute_cssame
+        ),
+        StageSpec(
+            "diagnostics", ("cssame",), {}, _compute_diagnostics, parent_options=_CSSA
         ),
         StageSpec(
             "optimized",
-            "ir",
-            ("passes", "use_mutex", "fold_output_uses", "simplify"),
+            ("ir",),
+            {
+                "passes": ("constprop", "pdce", "licm"),
+                "use_mutex": True,
+                "fold_output_uses": True,
+                "simplify": True,
+            },
             _compute_optimized,
         ),
-        StageSpec("dot", "cssame", ("title",), _compute_dot),
-        StageSpec("bytecode", "ir", (), _compute_bytecode),
         StageSpec(
-            "payload.analyze", "cssame", (), _payload_analyze, wire="analyze"
+            "dot",
+            ("cssame",),
+            {"title": "PFG"},
+            _compute_dot,
+            parent_options={"prune_events": True},
         ),
+        StageSpec("bytecode", ("ir",), {}, _compute_bytecode),
         StageSpec(
-            "payload.diagnostics",
-            "diagnostics",
-            (),
-            _payload_diagnostics,
-            wire="diagnostics",
+            "audit",
+            ("cssame", "bytecode"),
+            {
+                "runs": 16,
+                "seed_base": 0,
+                "fuel": 1_000_000,
+                "explore": True,
+                "max_states": 20_000,
+            },
+            _compute_audit,
+            parent_options=_CSSA,
         ),
-        StageSpec(
-            "payload.optimized",
-            "optimized",
-            (),
-            _payload_optimized,
-            wire="optimized",
-        ),
-        StageSpec("payload.dot", "dot", (), _payload_dot, wire="dot"),
-        StageSpec(
-            "payload.bytecode", "bytecode", (), _payload_bytecode, wire="bytecode"
+        *(
+            StageSpec(f"payload.{wire}", (terminal,), {}, project, wire=wire)
+            for wire, (terminal, project) in _PAYLOADS.items()
         ),
     )
 }
 
 
-def stage_order() -> list[str]:
-    """Stage names in topological (definition) order."""
-    return list(STAGES)
-
-
 def payload_stage(wire: str) -> Optional[StageSpec]:
     """The payload node answering wire stage ``wire`` (``None`` if none)."""
-    for spec in STAGES.values():
-        if spec.wire == wire:
-            return spec
-    return None
+    return STAGES.get(f"payload.{wire}")
+
+
+def wire_schema(stage: str, pinned: frozenset = frozenset()) -> dict[str, Any]:
+    """Options (name → default) a request for ``stage`` may set.
+
+    The union of the defaults along the chain above ``stage``, minus
+    every name a descendant on the path pins through ``parent_options``.
+    """
+    spec = STAGES[stage]
+    schema = {k: v for k, v in spec.defaults.items() if k not in pinned}
+    pinned = pinned | set(spec.parent_options)
+    for parent in spec.parents:
+        for name, value in wire_schema(parent, pinned).items():
+            schema.setdefault(name, value)
+    return schema

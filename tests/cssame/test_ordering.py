@@ -5,6 +5,7 @@ from repro.cssame import build_cssame
 from repro.cssame.ordering import EventOrdering
 from repro.ir.stmts import Pi, SAssign
 from repro.ir.structured import iter_statements
+from repro.session import Session
 from tests.conftest import build
 
 
@@ -129,8 +130,6 @@ class TestBarrierOrdering:
         assert order.barrier_nodes == {}  # phases ambiguous: no edges
 
     def test_barrier_serializes_race_pair(self):
-        from repro.api import diagnose_source
-
         clean_src = """
         cobegin
         T0: begin data = 5; barrier(B); end
@@ -138,12 +137,10 @@ class TestBarrierOrdering:
         coend
         print(out);
         """
-        warnings, races = diagnose_source(clean_src)
+        warnings, races = Session().diagnose(clean_src)
         assert races == []
 
     def test_without_barrier_race_reported(self):
-        from repro.api import diagnose_source
-
         racy_src = """
         cobegin
         T0: begin data = 5; end
@@ -151,13 +148,11 @@ class TestBarrierOrdering:
         coend
         print(out);
         """
-        _w, races = diagnose_source(racy_src)
+        _w, races = Session().diagnose(racy_src)
         assert races
 
     def test_event_serializes_race_pair(self):
-        from repro.api import diagnose_source
-
-        _w, races = diagnose_source(
+        _w, races = Session().diagnose(
             """
             cobegin
             P: begin data = 5; set(go); end

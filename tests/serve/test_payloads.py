@@ -22,6 +22,12 @@ from tests.conftest import FIGURE1_SOURCE, SYNTH_CASES, synth_case_id, synth_con
 
 WIRE_STAGES = ("analyze", "diagnostics", "optimized", "dot", "bytecode")
 
+#: every wire stage with the request options its tests use (a short,
+#: unexplored audit keeps the suite fast)
+REQUESTS = [(stage, None) for stage in WIRE_STAGES] + [
+    ("audit", {"runs": 2, "explore": False})
+]
+
 #: serve-sized programs (stmts_per_thread=8, 90-110 IR statements); the
 #: first one's CSSAME form and optimization report raise RecursionError
 #: when pickled
@@ -35,12 +41,17 @@ SERVE_SIZED = [
 
 def _chain(stage: str) -> list[str]:
     """Stage-graph nodes a cold ``stage`` request computes, payload first."""
-    names = []
-    spec = payload_stage(stage)
-    while spec is not None:
-        names.append(spec.name)
-        spec = STAGES[spec.parent] if spec.parent is not None else None
+    names, todo = [], [payload_stage(stage).name]
+    while todo:
+        name = todo.pop(0)
+        if name not in names:
+            names.append(name)
+            todo.extend(STAGES[name].parents)
     return names
+
+
+def _is_key(value) -> bool:
+    return len(value) == 64 and all(c in "0123456789abcdef" for c in value)
 
 
 def _is_plain(value) -> bool:
@@ -48,7 +59,7 @@ def _is_plain(value) -> bool:
         return all(isinstance(k, str) and _is_plain(v) for k, v in value.items())
     if isinstance(value, (list, tuple)):
         return all(_is_plain(v) for v in value)
-    return value is None or isinstance(value, (str, int, bool))
+    return value is None or isinstance(value, (str, int, float, bool))
 
 
 def _load_art(path: Path):
@@ -90,41 +101,62 @@ class TestPersistOnlyPayloads:
         }
 
 
-@pytest.mark.parametrize("stage", WIRE_STAGES)
+@pytest.mark.parametrize(
+    "stage,options", REQUESTS, ids=[stage for stage, _ in REQUESTS]
+)
 class TestPayloadHits:
-    def test_warm_request_is_one_lookup(self, stage):
+    def test_warm_request_is_one_lookup(self, stage, options):
         session = Session()
-        cold = api.compile_source(FIGURE1_SOURCE, stage, session=session)
-        warm = api.compile_source(FIGURE1_SOURCE, stage, session=session)
+        cold = api.compile_source(FIGURE1_SOURCE, stage, options, session=session)
+        warm = api.compile_source(FIGURE1_SOURCE, stage, options, session=session)
         assert cold.provenance.cache_misses == len(_chain(stage))
         assert warm.work == {}
         assert warm.provenance.cache_misses == 0
         assert warm.provenance.cache_hits >= 1
+        assert _is_key(cold.provenance.artifact_key)
         assert warm.provenance.artifact_key == cold.provenance.artifact_key
         assert warm.artifacts == cold.artifacts
         assert warm.diagnostics == cold.diagnostics
 
-    def test_mutating_a_hit_does_not_reach_the_next(self, stage):
+    def test_mutating_a_hit_does_not_reach_the_next(self, stage, options):
         session = Session()
-        cold = api.compile_source(FIGURE1_SOURCE, stage, session=session)
+        cold = api.compile_source(FIGURE1_SOURCE, stage, options, session=session)
         want = cold.as_dict()
-        for result in (cold, api.compile_source(FIGURE1_SOURCE, stage, session=session)):
+        again = api.compile_source(FIGURE1_SOURCE, stage, options, session=session)
+        for result in (cold, again):
             for value in result.artifacts.values():
                 if isinstance(value, (dict, list)):
                     value.clear()
             result.artifacts["listing"] = "corrupted"
             for frame in result.diagnostics:
                 frame.clear()
-        after = api.compile_source(FIGURE1_SOURCE, stage, session=session)
+        after = api.compile_source(FIGURE1_SOURCE, stage, options, session=session)
         assert after.as_dict()["artifacts"] == want["artifacts"]
         assert after.as_dict()["diagnostics"] == want["diagnostics"]
 
-    def test_traced_fresh_session_computes_every_node(self, stage):
-        session = Session(fresh_when_traced=True)
-        api.compile_source(FIGURE1_SOURCE, stage, session=session)
+    def test_traced_fresh_session_computes_every_node(self, stage, options):
         with use_tracer(Tracer()):
-            again = api.compile_source(FIGURE1_SOURCE, stage, session=session)
+            result = api.compile_source(FIGURE1_SOURCE, stage, options, session=Session())
         assert {
             f"work.session.compute.{name}" for name in _chain(stage)
-        } <= set(again.work)
-        assert again.provenance.cache_hits == 0
+        } <= set(result.work)
+        # A node two parents share (the ir under audit) is computed once.
+        assert result.provenance.cache_misses == len(_chain(stage))
+
+    def test_restarted_store_answers_from_disk(self, tmp_path, stage, options):
+        first = api.compile_source(
+            FIGURE1_SOURCE,
+            stage,
+            options,
+            session=Session(cache=PersistentStore(str(tmp_path))),
+        )
+        (path,) = tmp_path.rglob("*.art")
+        assert _is_plain(_load_art(path))
+        store = PersistentStore(str(tmp_path))
+        warm = api.compile_source(FIGURE1_SOURCE, stage, options, session=Session(cache=store))
+        assert warm.work == {}
+        assert warm.provenance.cache_misses == 0
+        assert store.store_stats.disk_hits == 1
+        assert warm.provenance.artifact_key == first.provenance.artifact_key
+        assert warm.artifacts == first.artifacts
+        assert warm.diagnostics == first.diagnostics

@@ -1,4 +1,4 @@
-"""Typed results and the redesigned facade, including deprecation shims."""
+"""Typed results and the typed facade."""
 
 import json
 
@@ -91,6 +91,21 @@ class TestWireRoundTrip:
         assert rebuilt.as_dict() == payload
         assert type(rebuilt) is result_class_for(stage)
 
+    def test_as_dict_is_a_deep_copy(self):
+        # one warning frame (a ``blocks`` list) and one race frame (a
+        # nested ``race`` dict holding ``locks_*`` lists)
+        result = api.diagnose(
+            "cobegin begin lock(L); v = 1; end begin v = 2; end coend print(v);"
+        )
+        want = json.dumps(result.as_dict(), sort_keys=True)
+        out = result.as_dict()
+        warning, race = out["diagnostics"]
+        warning["blocks"].append(99)
+        race["race"]["locks_a"].append("M")
+        race["race"].clear()
+        out["artifacts"].clear()
+        assert json.dumps(result.as_dict(), sort_keys=True) == want
+
     def test_result_class_for(self):
         assert result_class_for("diagnostics") is DiagnoseResult
         assert result_class_for("optimized") is OptimizeResult
@@ -99,36 +114,6 @@ class TestWireRoundTrip:
     def test_provenance_roundtrip(self):
         prov = Provenance("s" * 64, "dot", "a" * 64, 2, 3)
         assert Provenance.from_dict(prov.as_dict()) == prov
-
-
-class TestDeprecationShims:
-    def test_analyze_source_warns_and_works(self):
-        with pytest.deprecated_call():
-            form = api.analyze_source(FIGURE2_SOURCE)
-        # Legacy shape: the live CSSAME form object, not a result.
-        assert hasattr(form, "program")
-
-    def test_diagnose_source_warns_and_works(self):
-        with pytest.deprecated_call():
-            warnings_, races = api.diagnose_source(FIGURE1_SOURCE)
-        assert races
-
-    def test_optimize_source_warns_and_works(self):
-        with pytest.deprecated_call():
-            report = api.optimize_source(FIGURE2_SOURCE)
-        assert "final" in report.listings
-
-    def test_pfg_dot_warns_and_works(self):
-        with pytest.deprecated_call():
-            dot = api.pfg_dot(CLEAN, title="T")
-        assert dot.startswith("digraph")
-
-    def test_new_surface_does_not_warn(self, recwarn):
-        api.diagnose(CLEAN)
-        api.analyze(CLEAN)
-        assert not [
-            w for w in recwarn.list if w.category is DeprecationWarning
-        ]
 
 
 class TestStageOptions:

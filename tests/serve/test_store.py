@@ -72,6 +72,35 @@ class TestRestart:
         assert store.persisted_count() == 3
 
 
+class TestDiskProbe:
+    STAGES = ("analyze", "diagnostics", "optimized", "dot", "bytecode")
+
+    def test_get_of_an_unpersisted_key_skips_the_disk(self, tmp_path):
+        store = PersistentStore(str(tmp_path))
+        store.put("b" * 64, "on disk")
+        store.clear()
+        assert store.get("b" * 64, "stage", persist=False) is store.MISSING
+        assert store.store_stats.disk_misses == 0
+        assert store.store_stats.disk_hits == 0
+
+    def test_cold_chain_probes_disk_once_per_payload(self, tmp_path):
+        store = PersistentStore(str(tmp_path))
+        session = Session(cache=store)
+        for stage in self.STAGES:
+            api.compile_source(FIGURE1_SOURCE, stage, session=session)
+        # Compiler objects never persist, so only payload nodes are
+        # looked for on disk.
+        assert store.store_stats.disk_misses == len(self.STAGES)
+
+        restarted = PersistentStore(str(tmp_path))
+        session = Session(cache=restarted)
+        for stage in self.STAGES:
+            warm = api.compile_source(FIGURE1_SOURCE, stage, session=session)
+            assert warm.provenance.cache_misses == 0
+        assert restarted.store_stats.disk_hits == len(self.STAGES)
+        assert restarted.store_stats.disk_misses == 0
+
+
 class TestCorruption:
     def test_truncated_file_recomputes_not_crashes(self, tmp_path):
         store = PersistentStore(str(tmp_path))

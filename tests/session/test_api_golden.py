@@ -1,11 +1,11 @@
-"""Golden equivalence: the Session-backed facade matches the
-pre-redesign one-shot implementations.
+"""Golden equivalence: the Session journeys match the pre-redesign
+one-shot implementations.
 
 The reference ("legacy") implementations below are verbatim transcripts
 of what ``repro.api`` did before the stage-graph redesign: build
 everything from scratch with direct calls into the pipeline modules.
-Every ``api.*`` helper — called cold *and* through a warmed, shared
-session — must reproduce their outputs bit-for-bit on the whole
+Every ``Session`` journey — on a fresh session *and* twice through a
+warmed, shared one — must reproduce their outputs bit-for-bit on the whole
 ``examples/*.par`` corpus plus the paper's Figure 1–5 fixture programs
 (Figures 3–5 rework the Figure 2 program, so the two sources cover all
 five).
@@ -66,7 +66,7 @@ def legacy_diagnose(source):
     return warnings, races
 
 
-def legacy_pfg_dot(source, title="PFG"):
+def legacy_dot(source, title="PFG"):
     return to_dot(legacy_analyze(source).graph, title=title)
 
 
@@ -89,8 +89,8 @@ class TestGoldenEquivalence:
     @pytest.mark.parametrize("prune", [True, False])
     def test_analyze(self, name, prune, warm_session):
         expected = legacy_analyze(CORPUS[name], prune=prune)
-        for session in (None, warm_session, warm_session):
-            form = api.analyze_source(CORPUS[name], prune=prune, session=session)
+        for session in (Session(), warm_session, warm_session):
+            form = session.analyze(CORPUS[name], prune=prune)
             assert format_ir(form.program) == format_ir(expected.program)
             assert measure_form(form.program).as_dict() == measure_form(
                 expected.program
@@ -108,8 +108,8 @@ class TestGoldenEquivalence:
 
     def test_diagnose(self, name, warm_session):
         expected_warnings, expected_races = legacy_diagnose(CORPUS[name])
-        for session in (None, warm_session, warm_session):
-            warnings, races = api.diagnose_source(CORPUS[name], session=session)
+        for session in (Session(), warm_session, warm_session):
+            warnings, races = session.diagnose(CORPUS[name])
             assert [(w.kind, w.message) for w in warnings] == [
                 (w.kind, w.message) for w in expected_warnings
             ]
@@ -119,8 +119,8 @@ class TestGoldenEquivalence:
 
     def test_optimize(self, name, warm_session):
         expected = legacy_optimize(CORPUS[name])
-        for session in (None, warm_session, warm_session):
-            report = api.optimize_source(CORPUS[name], session=session)
+        for session in (Session(), warm_session, warm_session):
+            report = session.optimize(CORPUS[name])
             assert report.listings == expected.listings
             assert report.statement_count() == expected.statement_count()
             assert len(report.constprop.constants) == len(
@@ -130,9 +130,9 @@ class TestGoldenEquivalence:
             assert report.licm.total_moved == expected.licm.total_moved
 
     def test_pfg_dot(self, name, warm_session):
-        expected = legacy_pfg_dot(CORPUS[name], title=name)
-        for session in (None, warm_session, warm_session):
-            assert api.pfg_dot(CORPUS[name], title=name, session=session) == expected
+        expected = legacy_dot(CORPUS[name], title=name)
+        for session in (Session(), warm_session, warm_session):
+            assert session.dot(CORPUS[name], title=name) == expected
 
 
 class TestFacadeSurface:
@@ -146,8 +146,8 @@ class TestFacadeSurface:
         assert api.listing(program) == format_ir(program)
 
     def test_pfg_dot_prune_passthrough(self):
-        pruned = api.pfg_dot(FIGURE2_SOURCE)
-        unpruned = api.pfg_dot(FIGURE2_SOURCE, prune=False)
+        pruned = Session().dot(FIGURE2_SOURCE)
+        unpruned = Session().dot(FIGURE2_SOURCE, prune=False)
         assert pruned != unpruned
         assert unpruned == to_dot(
             legacy_analyze(FIGURE2_SOURCE, prune=False).graph, title="PFG"
@@ -157,11 +157,11 @@ class TestFacadeSurface:
         from repro.obs.trace import Tracer
 
         tracer = Tracer()
-        api.pfg_dot(FIGURE2_SOURCE, trace=tracer)
+        Session().dot(FIGURE2_SOURCE, trace=tracer)
         assert any(s.name == "build-cssame" for s in tracer.spans())
 
     def test_optimize_pass_variants_match_legacy(self):
         for passes in ((), ("constprop",), ("constprop", "lvn", "pdce")):
-            got = api.optimize_source(FIGURE2_SOURCE, passes=passes)
+            got = Session().optimize(FIGURE2_SOURCE, passes=passes)
             want = legacy_optimize(FIGURE2_SOURCE, passes=passes)
             assert got.listings == want.listings
